@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import factors as factors_mod
-from .completion import dedekind_macneille, default_budget_ms, order_dimension
-from .errors import AntisymmetryViolation, BudgetExceeded, OdskError
+from .completion import dedekind_macneille, order_dimension
+from .errors import BudgetExceeded, OdskError
 from .fca import (FormalContext, canonical_base, concepts, is_guttman, read_cxt,
                   write_cxt)
 from .layout import dimdraw, layered, quality, render
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="odsk", description="Ordinal data analysis toolkit")
     top.add_argument("--json", action="store_true", help="emit JSON output")
-    top.add_argument("--seed", type=int, default=0, help="random seed")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -418,9 +417,6 @@ def run(argv: list[str]) -> int:
         rep.add("upper_bound", exc.upper)
         rep.emit(getattr(args, "json", False))
         return 3
-    except AntisymmetryViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except OdskError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,11 +1,13 @@
 """Order-diagram drawing: two-linear-extension coordinates with a
 layered fallback, plus quality metrics and SVG/DOT emission.
 
-dimdraw places an element at x = rank1 - rank2, y = rank1 + rank2 for a
-pair of linear extensions, so covering edges always point upward. When
-the poset has a 2-realizer the exact realizer is used; otherwise the
-pair is picked from sampled extensions by the fewest incomparable pairs
-ordered the same way in both.
+Coordinates are plain ints. dimdraw places an element at
+x = rank1 - rank2, y = rank1 + rank2 for a pair of linear extensions, so
+covering edges always point upward. When the poset has a 2-realizer the
+exact realizer is used; otherwise the pair is picked from sampled
+extensions by the fewest incomparable pairs ordered the same way in
+both. quality sorts the edges by their lower y and tests only the pairs
+whose y-ranges and x-ranges overlap.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .completion import order_dimension
 from .errors import BudgetExceeded, OdskError
@@ -27,10 +28,10 @@ MEDIAN_SWEEPS = 8
 class Drawing:
     """Element positions plus the covering edges of the source order."""
 
-    positions: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+    positions: tuple[tuple[str, tuple[int, int]], ...]
     edges: tuple[tuple[str, str], ...]
 
-    def position_map(self) -> dict[str, tuple[Fraction, Fraction]]:
+    def position_map(self) -> dict[str, tuple[int, int]]:
         return dict(self.positions)
 
     def __post_init__(self):
@@ -47,28 +48,16 @@ class Drawing:
 
 def _drawing_from_extensions(p: Poset, l1: LinearExtension,
                              l2: LinearExtension) -> Drawing:
+    """Distinct rank pairs give distinct points."""
     r1, r2 = l1.position, l2.position
-    placed: dict[str, tuple[Fraction, Fraction]] = {}
-    taken: set[tuple[Fraction, Fraction]] = set()
-    for name in sorted(p.elements, key=lambda e: r2[e]):
-        x = Fraction(r1[name] - r2[name])
-        y = Fraction(r1[name] + r2[name])
-        while (x, y) in taken:  # safety jitter; distinct ranks never collide
-            x += 1
-        placed[name] = (x, y)
-        taken.add((x, y))
-    positions = tuple((e, placed[e]) for e in p.elements)
+    positions = tuple((e, (r1[e] - r2[e], r1[e] + r2[e])) for e in p.elements)
     return Drawing(positions, p.covers)
 
 
-def _same_direction_score(p: Poset, l1: LinearExtension, l2: LinearExtension) -> int:
-    """Incomparable pairs ordered the same way in both extensions."""
-    r1, r2 = l1.position, l2.position
-    score = 0
-    for a, b in p.incomparable_pairs():
-        if (r1[a] < r1[b]) == (r2[a] < r2[b]):
-            score += 1
-    return score
+def _same_direction_score(pairs: list[tuple[int, int]], r1: list[int],
+                          r2: list[int]) -> int:
+    """Incomparable index pairs ordered the same way in both rank lists."""
+    return sum((r1[i] < r1[j]) == (r2[i] < r2[j]) for i, j in pairs)
 
 
 def dimdraw(p: Poset, budget_ms: int | None = None) -> Drawing:
@@ -91,12 +80,11 @@ def dimdraw(p: Poset, budget_ms: int | None = None) -> Drawing:
         warnings.warn("dimdraw budget exceeded; falling back to layered layout",
                       stacklevel=2)
         return layered(p)
-    best = None
-    for i in range(0, PAIR_SEARCH_SEEDS, 2):
-        score = _same_direction_score(p, samples[i], samples[i + 1])
-        if best is None or score < best[0]:
-            best = (score, samples[i], samples[i + 1])
-    return _drawing_from_extensions(p, best[1], best[2])
+    pairs = [(p.index(a), p.index(b)) for a, b in p.incomparable_pairs()]
+    ranks = [[s.position[e] for e in p.elements] for s in samples]
+    best = min(range(0, PAIR_SEARCH_SEEDS, 2),
+               key=lambda i: _same_direction_score(pairs, ranks[i], ranks[i + 1]))
+    return _drawing_from_extensions(p, samples[best], samples[best + 1])
 
 
 def layered(p: Poset) -> Drawing:
@@ -131,8 +119,7 @@ def layered(p: Poset) -> Drawing:
     for li, layer in enumerate(levels):
         width = len(layer)
         for k, e in enumerate(layer):
-            x = Fraction(2 * k - (width - 1))
-            positions.append((e, (x, Fraction(li))))
+            positions.append((e, (2 * k - (width - 1), li)))
     order = {e: i for i, e in enumerate(p.elements)}
     positions.sort(key=lambda t: order[t[0]])
     return Drawing(tuple(positions), p.covers)
@@ -177,42 +164,51 @@ def _segments_cross(p1, p2, p3, p4) -> bool:
 
 
 def quality(d: Drawing) -> QualityMetrics:
-    pos = d.position_map()
-    segs = [(pos[a], pos[b], a, b) for a, b in d.edges]
-    crossings = 0
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if _segments_cross(segs[i][0], segs[i][1], segs[j][0], segs[j][1]):
-                crossings += 1
-    slopes = set()
-    for (x1, y1), (x2, y2), _, _ in segs:
-        dx, dy = x2 - x1, y2 - y1
-        g = math.gcd(dx.numerator * dy.denominator, dy.numerator * dx.denominator)
-        num_dx = dx.numerator * dy.denominator
-        num_dy = dy.numerator * dx.denominator
-        if g:
-            num_dx //= g
-            num_dy //= g
-        if num_dy < 0 or (num_dy == 0 and num_dx < 0):
-            num_dx, num_dy = -num_dx, -num_dy
-        slopes.add((num_dx, num_dy))
+    """Crossings, distinct slopes and least node-to-edge distance.
 
-    def point_seg_dist(c, a, b) -> float:
-        ax, ay = float(a[0]), float(a[1])
-        bx, by = float(b[0]), float(b[1])
-        cx, cy = float(c[0]), float(c[1])
+    Edges are sorted by their lower y. A pair is tested for a crossing
+    only when its y-ranges and x-ranges overlap, and a node skips an edge
+    whose integer bounding-box gap already exceeds the least distance;
+    no skipped pair could change a metric."""
+    pos = d.position_map()
+    segs = []
+    for a, b in d.edges:  # edges point upward, so pos[a] is the lower end
+        (xa, ya), (xb, yb) = pos[a], pos[b]
+        segs.append((ya, yb, min(xa, xb), max(xa, xb), pos[a], pos[b], a, b))
+    segs.sort()
+    crossings = 0
+    for i, (_, top, left, right, p1, p2, _, _) in enumerate(segs):
+        for bottom, _, left2, right2, p3, p4, _, _ in segs[i + 1:]:
+            if bottom > top:
+                break
+            if left2 <= right and left <= right2 and _segments_cross(p1, p2, p3, p4):
+                crossings += 1
+    slopes = set()  # dy > 0, so (dx, dy) // gcd is already in lowest terms
+    for *_, (x1, y1), (x2, y2), _, _ in segs:
+        g = math.gcd(x2 - x1, y2 - y1)
+        slopes.add(((x2 - x1) // g, (y2 - y1) // g))
+
+    def point_seg_dist(cx, cy, a, b) -> float:
+        (ax, ay), (bx, by) = a, b
         dx, dy = bx - ax, by - ay
-        if dx == dy == 0:
-            return math.hypot(cx - ax, cy - ay)
         t = max(0.0, min(1.0, ((cx - ax) * dx + (cy - ay) * dy) / (dx * dx + dy * dy)))
         return math.hypot(cx - (ax + t * dx), cy - (ay + t * dy))
 
+    # Skipping is exact: a skipped edge's computed distance is never below
+    # its integer gap. At a clamped end it is a hypot of ints, at least the
+    # larger of them; an interior foot of the perpendicular lies farther
+    # than the gap by much more than the rounding error.
     min_dist = math.inf
-    for name, c in d.positions:
-        for pa, pb, a, b in segs:
-            if name in (a, b):
+    for name, (cx, cy) in d.positions:
+        for bottom, top, left, right, pa, pb, a, b in segs:
+            if bottom - cy > min_dist:
+                break
+            if (cy - top > min_dist or left - cx > min_dist or cx - right > min_dist
+                    or name in (a, b)):
                 continue
-            min_dist = min(min_dist, point_seg_dist(c, pa, pb))
+            min_dist = min(min_dist, point_seg_dist(cx, cy, pa, pb))
+        if min_dist == 0:
+            break
     return QualityMetrics(crossings, len(slopes), min_dist)
 
 
