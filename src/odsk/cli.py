@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import factors as factors_mod
 from .completion import dedekind_macneille, order_dimension
-from .errors import BudgetExceeded, OdskError
+from .errors import BudgetExceeded, OdskError, ParseError
 from .fca import (FormalContext, canonical_base, concepts, is_guttman, read_cxt,
                   write_cxt)
 from .layout import dimdraw, layered, quality, render
@@ -69,6 +69,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OdskError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
 
 def _load_context(path: str) -> FormalContext:

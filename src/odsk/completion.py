@@ -6,7 +6,10 @@ reversible classes: a class is reversible iff the strict order plus the
 reversed pairs stays acyclic, in which case a topological sort yields a
 linear extension reversing exactly that class. Classes are filled in
 lexicographic critical-pair order, first-fit with backtracking, so
-results are deterministic.
+results are deterministic. The search starts at a certified lower bound:
+3 when the conflict graph of the critical pairs (two pairs conflict when
+they form an alternating 2-cycle, so no linear extension reverses both)
+has an odd cycle, else 2.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .errors import BudgetExceeded, OdskError
 from .fca import ConceptLattice, FormalContext, concepts
 from .order import LinearExtension, Poset, _bits, intersect_linear_orders
 
 DEFAULT_BUDGET_MS = 60_000
-S3_SCAN_CAP = 100_000
 
 
 def default_budget_ms() -> int:
@@ -132,21 +133,6 @@ def _closure_add(rows: list[int], n: int, u: int, v: int):
     return undo
 
 
-def _topo_extension(p: Poset, rows: list[int]) -> LinearExtension:
-    """Topological sort of a closed precedence digraph, repeatedly taking
-    the lexicographically smallest available element."""
-    n = len(p)
-    remaining = set(range(n))
-    out = []
-    while remaining:
-        ready = [x for x in remaining
-                 if not any((rows[y] >> x & 1) for y in remaining if y != x)]
-        pick = min(ready, key=lambda x: p.elements[x])
-        out.append(p.elements[pick])
-        remaining.remove(pick)
-    return LinearExtension(tuple(out))
-
-
 def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int,
                       deadline: float):
     """First-fit backtracking partition of critical pairs into k
@@ -197,63 +183,60 @@ def _greedy_peel_classes(p: Poset, crit: list[tuple[int, int]]) -> list[list[int
     return classes
 
 
-def _find_standard_example_3(p: Poset, cap: int = S3_SCAN_CAP) -> bool:
-    """Bounded scan for a 6-element standard-example suborder
-    (a_i < b_j iff i != j); finding one certifies dimension >= 3."""
-    n = len(p)
-    inc = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i != j and not (p.up[i] >> j & 1) and not (p.up[j] >> i & 1):
-                mask |= 1 << j
-        inc.append(mask)
-    antichain3 = [t for t in combinations(range(n), 3)
-                  if (inc[t[0]] >> t[1] & 1) and (inc[t[0]] >> t[2] & 1)
-                  and (inc[t[1]] >> t[2] & 1)]
-    strict = [p.up[i] & ~(1 << i) for i in range(n)]
-    candidates = 0
-    for A in antichain3:
-        amask = sum(1 << a for a in A)
-        for B in antichain3:
-            if sum(1 << b for b in B) & amask:
-                continue
-            for sigma in permutations(B):
-                candidates += 1
-                if candidates > cap:
-                    return False
-                ok = True
-                for i, a in enumerate(A):
-                    for j, b in enumerate(sigma):
-                        want = i != j
-                        if bool(strict[a] >> b & 1) != want or (strict[b] >> a & 1):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return True
+def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
+    """True iff the conflict graph of the critical pairs has an odd cycle.
+
+    (a,b) and (c,d) conflict iff c <= b and a <= d: reversing both in one
+    linear extension would close the cycle b < a <= d < c <= b. So every
+    realizer properly colours this graph, and an odd cycle certifies
+    dimension >= 3. Two-colours each component by BFS over bitsets.
+    """
+    firsts_below = [0] * len(p)   # bit j iff crit[j][0] <= x
+    seconds_above = [0] * len(p)  # bit j iff x <= crit[j][1]
+    for j, (c, d) in enumerate(crit):
+        for x in _bits(p.up[c]):
+            firsts_below[x] |= 1 << j
+        for x in _bits(p.down[d]):
+            seconds_above[x] |= 1 << j
+    unseen = (1 << len(crit)) - 1
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        sides = [frontier, 0]
+        parity = 0
+        while frontier:
+            nbrs = 0
+            for i in _bits(frontier):
+                a, b = crit[i]
+                nbrs |= firsts_below[b] & seconds_above[a]
+            if nbrs & sides[parity]:
+                return True
+            parity ^= 1
+            frontier = nbrs & unseen
+            sides[parity] |= frontier
+            unseen &= ~frontier
     return False
+
+
+def _bounds(p: Poset, crit: list[tuple[int, int]]) -> tuple[int, int]:
+    lower = 3 if _odd_conflict_cycle(p, crit) else 2
+    width, _ = p.width_height()
+    upper = min(width, len(_greedy_peel_classes(p, crit)))
+    return (lower, max(lower, upper))
 
 
 def dimension_bounds(p: Poset) -> tuple[int, int]:
     """Certified (lower, upper) dimension bounds.
 
     Upper: min of the width and the greedy reversible-class peel count.
-    Lower: 1 for chains, else 2, raised to 3 when a standard-example
-    suborder is found within the scan cap.
+    Lower: 1 for chains, else 2, raised to 3 when the conflict graph of
+    the critical pairs (pairs forming an alternating 2-cycle) has an odd
+    cycle, so that no two linear extensions can reverse them all.
     """
-    if len(p) == 0:
-        return (1, 1)
     crit = _critical_pair_indices(p)
-    if not p.incomparable_pairs():
+    if not crit:
         return (1, 1)
-    lower = 2
-    if _find_standard_example_3(p):
-        lower = 3
-    width, _ = p.width_height()
-    upper = max(1, min(width, len(_greedy_peel_classes(p, crit))))
-    return (lower, max(lower, upper))
+    return _bounds(p, crit)
 
 
 def order_dimension(p: Poset, max_k: int | None = None,
@@ -269,15 +252,14 @@ def order_dimension(p: Poset, max_k: int | None = None,
     budget = default_budget_ms() if budget_ms is None else budget_ms
     deadline = time.monotonic() + budget / 1000.0
 
-    n = len(p)
-    if n == 0:
+    if len(p) == 0:
         return DimensionResult(1, Realizer((LinearExtension(()),)))
-    if not p.incomparable_pairs():
+    crit = _critical_pair_indices(p)
+    if not crit:
         ext = p.greedy_linear_extension()
         return DimensionResult(1, Realizer((ext,)))
 
-    crit = _critical_pair_indices(p)
-    lower, upper = dimension_bounds(p)
+    lower, upper = _bounds(p, crit)
     k_cap = upper if max_k is None else max_k
     k = max(lower, 2)
     proven_lower = k
@@ -289,7 +271,11 @@ def order_dimension(p: Poset, max_k: int | None = None,
                 f"dimension search timed out at k={k}",
                 lower=proven_lower, upper=upper) from None
         if found is not None:
-            exts = tuple(_topo_extension(p, rows) for rows in found)
+            # each class digraph plus the diagonal is an order whose
+            # greedy extension reverses exactly that class
+            exts = tuple(
+                Poset(p.elements, tuple(row | 1 << i for i, row in enumerate(rows)))
+                .greedy_linear_extension() for rows in found)
             realizer = Realizer(exts)
             verify = intersect_linear_orders(exts)
             if sorted(verify.covers) != sorted(p.covers):  # pragma: no cover

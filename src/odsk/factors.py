@@ -53,14 +53,6 @@ def _tile_pairs(ctx: FormalContext, extent_mask: int, intent_mask: int):
             yield (g, m)
 
 
-def _uncovered_cols(ctx: FormalContext, uncovered_rows: list[int]) -> list[int]:
-    cols = [0] * len(ctx.attributes)
-    for i, r in enumerate(uncovered_rows):
-        for j in _bits(r):
-            cols[j] |= 1 << i
-    return cols
-
-
 def boolean_greedy(ctx: FormalContext, k: int | None = None,
                    budget: int = DEFAULT_CONCEPT_BUDGET) -> BooleanGreedyResult:
     """Greedy Boolean factors: repeatedly take the concept covering the
@@ -101,7 +93,7 @@ def _concept_count_at_most(ctx: FormalContext, limit: int) -> bool:
 
 
 def _chain_best_exhaustive(ctx: FormalContext, lat: ConceptLattice,
-                           unc_cols: list[int]) -> list[int]:
+                           unc_cols: tuple[int, ...]) -> list[int]:
     """Exact best chain by DFS over all chains of the lattice.
 
     Chains are walked top-down, which is strictly increasing lectic
@@ -142,7 +134,7 @@ def _chain_best_exhaustive(ctx: FormalContext, lat: ConceptLattice,
     return list(best[0][1])
 
 
-def _chain_best_descent(ctx: FormalContext, unc_cols: list[int]) -> list[tuple[int, int]]:
+def _chain_best_descent(ctx: FormalContext, unc_cols: tuple[int, ...]) -> list[tuple[int, int]]:
     """Greedy best-first chain descent for large lattices.
 
     Starting at the top concept, repeatedly tightens the extent by the
@@ -188,7 +180,7 @@ def largest_ordinal_factor(ctx: FormalContext,
     unc_rows = [0] * len(ctx.objects)
     for g, m in uncovered:
         unc_rows[ctx.objects.index(g)] |= 1 << ctx.attributes.index(m)
-    unc_cols = _uncovered_cols(ctx, unc_rows)
+    unc_cols = FormalContext(ctx.objects, ctx.attributes, tuple(unc_rows)).cols
 
     if len(ctx.objects) and _concept_count_at_most(
             ctx if len(ctx.attributes) <= len(ctx.objects) else ctx.transpose(),

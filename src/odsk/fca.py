@@ -438,6 +438,8 @@ def read_cxt(text: str) -> FormalContext:
         n_att = int(lines[3])
     except (IndexError, ValueError) as exc:
         raise ParseError("CXT header: expected object/attribute counts") from exc
+    if n_obj < 0 or n_att < 0:
+        raise ParseError("CXT header: negative object/attribute count")
     if lines[1] != "" or lines[4] != "":
         raise ParseError("CXT header: lines 2 and 5 must be empty")
     need = 5 + n_obj + n_att + n_obj

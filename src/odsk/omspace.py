@@ -83,6 +83,8 @@ def read_distance_csv(text: str) -> FiniteMetric:
     if len(rows) < 2:
         raise ParseError("distance CSV needs a header and at least one row")
     names = tuple(h.strip() for h in rows[0][1:])
+    if len(rows) - 1 != len(names):
+        raise ParseError("distance CSV is not square")
     table = []
     for r in rows[1:]:
         if r[0].strip() != names[len(table)]:
@@ -91,8 +93,6 @@ def read_distance_csv(text: str) -> FiniteMetric:
         if len(r) != len(names) + 1:
             raise ParseError(f"ragged distance row for {r[0]!r}")
         table.append(tuple(_parse_number(v) for v in r[1:]))
-    if len(table) != len(names):
-        raise ParseError("distance CSV is not square")
     return FiniteMetric(names, tuple(table))
 
 
@@ -127,7 +127,12 @@ def hausdorff(metric: FiniteMetric, a: Iterable[str], b: Iterable[str]) -> Numbe
     ib = [metric.index(y) for y in b]
     if not ia or not ib:
         raise EmptySet("hausdorff distance needs nonempty sets")
-    d = metric.d
+    return _hausdorff_indices(metric.d, ia, ib)
+
+
+def _hausdorff_indices(d: Sequence[Sequence[Number]], ia: list[int],
+                       ib: list[int]) -> Number:
+    """Hausdorff distance between nonempty index lists of table ``d``."""
     ab = max(min(d[x][y] for y in ib) for x in ia)
     ba = max(min(d[x][y] for x in ia) for y in ib)
     return max(ab, ba)
@@ -154,17 +159,11 @@ def relational_distortion(space: OmSpace, reflexive_close: bool = False) -> Dist
         raise EmptyImage(empty)
     images = [[j for j in _bits(rows[i])] for i in range(n)]
     d = space.metric.d
-
-    def hd(pa: list[int], pb: list[int]) -> Number:
-        ab = max(min(d[x][y] for y in pb) for x in pa)
-        ba = max(min(d[x][y] for x in pa) for y in pb)
-        return max(ab, ba)
-
     best: Number = 0
     witness = None
     for i in range(n):
         for j in range(i + 1, n):
-            gap = abs(d[i][j] - hd(images[i], images[j]))
+            gap = abs(d[i][j] - _hausdorff_indices(d, images[i], images[j]))
             if witness is None or gap > best:
                 best = gap
                 witness = (space.elements[i], space.elements[j])

@@ -35,9 +35,11 @@ def _check_elements(elements: Sequence[str]) -> tuple[str, ...]:
     return elems
 
 
-def _transitive_closure(rows: list[int], n: int) -> list[int]:
-    """Warshall closure on bitset rows; row[i] bit j means i -> j."""
-    rows = list(rows)
+def _reflexive_transitive_rows(rel: Relation) -> list[int]:
+    """Warshall closure of the relation plus the diagonal, as bitset
+    rows; row[i] bit j means i -> j."""
+    rows = [row | 1 << i for i, row in enumerate(rel.rows())]
+    n = len(rows)
     for k in range(n):
         rk = rows[k]
         bit = 1 << k
@@ -439,12 +441,8 @@ def poset_from_tsv(text: str) -> Poset:
 def close_relation(rel: Relation) -> Poset:
     """Reflexive-transitive closure; raises AntisymmetryViolation with the
     strongly-equivalent classes when the result is not a poset."""
-    n = len(rel.elements)
-    rows = rel.rows()
-    for i in range(n):
-        rows[i] |= 1 << i
-    rows = _transitive_closure(rows, n)
-    comps = _strong_components(rows, n)
+    rows = _reflexive_transitive_rows(rel)
+    comps = _strong_components(rows, len(rows))
     bad = tuple(frozenset(rel.elements[i] for i in comp)
                 for comp in comps if len(comp) > 1)
     if bad:
@@ -454,11 +452,7 @@ def close_relation(rel: Relation) -> Poset:
 
 def close_quasiorder(rel: Relation) -> "QuasiOrder":
     """Reflexive-transitive closure kept as a quasi-order (ties allowed)."""
-    n = len(rel.elements)
-    rows = rel.rows()
-    for i in range(n):
-        rows[i] |= 1 << i
-    return QuasiOrder(rel.elements, tuple(_transitive_closure(rows, n)))
+    return QuasiOrder(rel.elements, tuple(_reflexive_transitive_rows(rel)))
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,8 @@ def read_scaling_spec(text: str) -> dict[str, ScaleSpec]:
         if not isinstance(body, dict) or "kind" not in body:
             raise ParseError(f"spec for column {col!r} needs a 'kind'")
         values = body.get("values")
+        if values is not None and not isinstance(values, list):
+            raise ParseError(f"'values' for column {col!r} must be a list")
         specs[col] = ScaleSpec(
             column=col,
             kind=body["kind"],

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from odsk.cli import run
+from odsk import ParseError
+from odsk.cli import _read, run
 from odsk.fixtures import fixture_path
 
 REMBRANDT = str(fixture_path("rembrandt.cxt"))
@@ -164,3 +165,26 @@ def test_determinism_repeated_runs(capsys):
     first = out_of(capsys)
     assert run(["dimension", BUNDES_TSV]) == 0
     assert out_of(capsys) == first
+
+
+def test_read_non_utf8_is_parse_error(tmp_path):
+    bad = tmp_path / "latin1.tsv"
+    bad.write_bytes("caf\xe9\tb\n".encode("latin-1"))
+    with pytest.raises(ParseError):
+        _read(str(bad))
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["omspace", "distortion", "p.tsv", "d.csv"],
+     {"p.tsv": b"a\tb\n", "d.csv": b",a\na,0\nb,1\n"}),
+    (["pareto", BUNDES_CSV, "--spec", "s.json"],
+     {"s.json": b'{"Pts": {"kind": "ordinal", "values": 5}}'}),
+    (["concepts", "c.cxt"], {"c.cxt": b"B\n\n-1\n2\n\nm1\nm2\n"}),
+    (["complete", "p.tsv"], {"p.tsv": "caf\xe9\tb\n".encode("latin-1")}),
+], ids=["distance-rows", "spec-values", "cxt-count", "non-utf8"])
+def test_malformed_inputs_exit_2(tmp_path, capsys, argv, files):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,9 @@
-from itertools import combinations_with_replacement, permutations
+import random
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+import odsk.completion as completion
 from odsk import (BudgetExceeded, LinearExtension, Poset, critical_pairs,
                   dedekind_macneille, dimension_bounds, intersect_linear_orders,
                   order_dimension)
@@ -205,3 +207,74 @@ def test_realizer_serialization():
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert {tuple(line.split(",")) for line in lines} == {("a", "b"), ("b", "a")}
+
+
+# -- the odd-cycle lower bound ---------------------------------------------
+
+
+def _old_s3_scan(p: Poset, cap: int = 100_000) -> bool:
+    """The earlier certificate: a capped scan for a standard-example S_3
+    suborder (a_i < b_j iff i != j)."""
+    n = len(p)
+    inc = [sum(1 << j for j in range(n) if i != j and not p.up[i] >> j & 1
+               and not p.up[j] >> i & 1) for i in range(n)]
+    antichain3 = [t for t in combinations(range(n), 3)
+                  if inc[t[0]] >> t[1] & 1 and inc[t[0]] >> t[2] & 1
+                  and inc[t[1]] >> t[2] & 1]
+    strict = [p.up[i] & ~(1 << i) for i in range(n)]
+    candidates = 0
+    for A in antichain3:
+        for B in antichain3:
+            if set(A) & set(B):
+                continue
+            for sigma in permutations(B):
+                candidates += 1
+                if candidates > cap:
+                    return False
+                if all(bool(strict[a] >> b & 1) == (i != j)
+                       and not strict[b] >> a & 1
+                       for i, a in enumerate(A) for j, b in enumerate(sigma)):
+                    return True
+    return False
+
+
+def test_odd_cycle_bound_dominates_s3_scan(rng):
+    higher = 0
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(2, 10), p=rng.choice([0.2, 0.35, 0.5]))
+        lo, hi = dimension_bounds(p)
+        old_lo = 3 if _old_s3_scan(p) else 2 if p.incomparable_pairs() else 1
+        assert lo >= old_lo
+        assert lo <= order_dimension(p).dim <= hi
+        higher += lo > old_lo
+    assert higher > 0
+
+
+def test_s3_beyond_the_scan_cap_still_bounds():
+    s3 = standard_example(3)
+    pairs = [(a, b) for a in s3.elements for b in s3.elements
+             if a != b and s3.leq(a, b)]
+    p = Poset.from_pairs([f"x{i:02}" for i in range(20)] + list(s3.elements),
+                         pairs)
+    assert _old_s3_scan(s3)
+    assert not _old_s3_scan(p)  # 20 isolated elements push S_3 past the cap
+    assert dimension_bounds(p)[0] == 3
+    assert order_dimension(p).dim == 3
+
+
+def test_odd_cycle_refutes_k2_without_search(monkeypatch):
+    calls = []
+    search = completion._search_partition
+
+    def counted(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(completion, "_search_partition", counted)
+    p = random_poset(random.Random(0), 40, p=0.06)
+    with pytest.raises(BudgetExceeded) as exc:
+        order_dimension(p, max_k=2)
+    assert exc.value.lower == 3
+    assert calls == []
+    order_dimension(standard_example(2))
+    assert calls == [2]  # the counter does see a search

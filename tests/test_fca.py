@@ -5,6 +5,7 @@ import pytest
 from odsk import (FormalContext, Implication, UnknownAttribute, canonical_base,
                   clarify, concepts, entails, holds, is_guttman, read_cxt,
                   write_cxt)
+from odsk import ParseError
 from odsk.fca import implication_closure
 from odsk.fixtures import airlines, fixture_text, rembrandt, socialnet
 
@@ -270,3 +271,9 @@ def test_cxt_reader_tolerates_crlf():
 def test_cxt_empty_context():
     ctx = FormalContext((), (), ())
     assert read_cxt(write_cxt(ctx)) == ctx
+
+
+@pytest.mark.parametrize("counts", ["-1\n2", "1\n-2"])
+def test_cxt_negative_count_is_parse_error(counts):
+    with pytest.raises(ParseError):
+        read_cxt(f"B\n\n{counts}\n\nm1\nm2\n")

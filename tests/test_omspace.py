@@ -7,6 +7,7 @@ import pytest
 from odsk import (EmptyImage, EmptySet, FiniteMetric, FormalContext, OmSpace,
                   Poset, Relation, disagreement, hausdorff, mediated_metric,
                   read_distance_csv, relational_distortion, valuation_order)
+from odsk import ParseError
 from odsk.omspace import write_distance_csv
 from odsk.fixtures import airlines, airlines_distances
 
@@ -241,3 +242,8 @@ def test_triangle_violation_warns_not_raises():
 def test_decimal_distances_supported():
     m = read_distance_csv(",a,b\na,0,1.5\nb,1.5,0\n")
     assert m.dist("a", "b") == Decimal("1.5")
+
+
+def test_distance_csv_more_rows_than_names_is_parse_error():
+    with pytest.raises(ParseError):
+        read_distance_csv(",a\na,0\nb,1\n")

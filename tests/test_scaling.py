@@ -3,6 +3,7 @@ import pytest
 from odsk import (MissingSpec, ScaleSpec, UnknownValue, UnsupportedKind,
                   apply_scaling, concepts, product_order, read_table_csv,
                   standard_scale, to_ordinal_structure)
+from odsk import ParseError, read_scaling_spec
 from odsk.fixtures import bundesliga_scales, bundesliga_table
 from odsk.scaling import ManyValuedTable, Column
 
@@ -158,3 +159,8 @@ def test_csv_reader():
     assert t.objects == ("x", "y")
     assert t.column("A").values == ("1,5", "3")
     assert t.column("B").numeric
+
+
+def test_spec_values_must_be_a_list():
+    with pytest.raises(ParseError):
+        read_scaling_spec('{"x": {"kind": "ordinal", "values": 5}}')
