@@ -278,13 +278,10 @@ def _reduced_labels(lat) -> dict[str, str]:
     ctx = lat.context
     labels: dict[str, list[str]] = {f"c{i}": [] for i in range(len(lat))}
     for j, m in enumerate(ctx.attributes):
-        ext = ctx._extent_of(1 << j)
-        i = lat.extent_masks.index(ext)
+        i = lat.extent_index[ctx._extent_of(1 << j)]
         labels[f"c{i}"].append(m)
-    for g in ctx.objects:
-        row = ctx.rows[ctx.objects.index(g)]
-        ext = ctx._extent_of(row)
-        i = lat.extent_masks.index(ext)
+    for g, row in zip(ctx.objects, ctx.rows):
+        i = lat.extent_index[ctx._extent_of(row)]
         labels[f"c{i}"].append(g)
     return {k: ",".join(v) for k, v in labels.items()}
 

@@ -57,9 +57,8 @@ class Completion:
 def dedekind_macneille(p: Poset) -> Completion:
     ctx = FormalContext(p.elements, p.elements, p.up)
     lat = concepts(ctx)
-    by_extent = {e: i for i, e in enumerate(lat.extent_masks)}
     embedding = tuple(
-        (name, by_extent[p.down[i]]) for i, name in enumerate(p.elements))
+        (name, lat.extent_index[p.down[i]]) for i, name in enumerate(p.elements))
     image = {idx for _, idx in embedding}
     new_nodes = tuple(i for i in range(len(lat)) if i not in image)
     return Completion(lat, embedding, new_nodes)

@@ -4,18 +4,19 @@ A factor chain covers an incidence (g,m) when some chain concept has g
 in its extent and m in its intent, so chains are Ferrers subrelations of
 the incidence. "Largest" always means most newly covered incidences;
 ties prefer shorter chains, then lectic order. Small contexts (at most
-12 concepts) are solved exactly by exhaustive chain enumeration; larger
-ones use a greedy best-first chain descent through the lattice, adding
-one threshold attribute at a time.
+12 concepts, probed by ``concepts`` with that budget) are solved exactly
+by exhaustive chain enumeration; larger ones use a greedy best-first
+chain descent through the lattice, adding one threshold attribute at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, ConceptBudgetExceeded, OdskError, WrongFactorCount
+from .errors import ConceptBudgetExceeded, OdskError, WrongFactorCount
 from .fca import (DEFAULT_CONCEPT_BUDGET, ConceptLattice, FormalConcept,
-                  FormalContext, _next_closure_intents, concepts)
+                  FormalContext, concepts)
 from .order import _bits
 
 EXACT_CONCEPT_LIMIT = 12
@@ -81,15 +82,6 @@ def boolean_greedy(ctx: FormalContext, k: int | None = None,
     uncovered = ctx.incidences() - covered
     return BooleanGreedyResult(
         tuple(lat.concepts[i] for i in chosen), covered, uncovered)
-
-
-def _concept_count_at_most(ctx: FormalContext, limit: int) -> bool:
-    try:
-        for _ in _next_closure_intents(ctx, limit):
-            pass
-    except ConceptBudgetExceeded:
-        return False
-    return True
 
 
 def _chain_best_exhaustive(ctx: FormalContext, lat: ConceptLattice,
@@ -167,8 +159,8 @@ def _chain_best_descent(ctx: FormalContext, unc_cols: tuple[int, ...]) -> list[t
 
 
 def largest_ordinal_factor(ctx: FormalContext,
-                           uncovered: frozenset[tuple[str, str]] | None = None,
-                           budget: int = DEFAULT_CONCEPT_BUDGET) -> OrdinalFactor:
+                           uncovered: frozenset[tuple[str, str]] | None = None
+                           ) -> OrdinalFactor:
     """The concept chain covering the most of ``uncovered`` (defaults to
     the whole incidence relation); exact for small lattices, greedy
     descent otherwise. Degenerate empty-tile chain members are pruned."""
@@ -182,14 +174,13 @@ def largest_ordinal_factor(ctx: FormalContext,
         unc_rows[ctx.objects.index(g)] |= 1 << ctx.attributes.index(m)
     unc_cols = FormalContext(ctx.objects, ctx.attributes, tuple(unc_rows)).cols
 
-    if len(ctx.objects) and _concept_count_at_most(
-            ctx if len(ctx.attributes) <= len(ctx.objects) else ctx.transpose(),
-            EXACT_CONCEPT_LIMIT):
-        lat = concepts(ctx, budget=budget)
+    try:
+        lat = concepts(ctx, budget=EXACT_CONCEPT_LIMIT)
+    except ConceptBudgetExceeded:
+        masks = _chain_best_descent(ctx, unc_cols)
+    else:
         idxs = _chain_best_exhaustive(ctx, lat, unc_cols)
         masks = [(lat.extent_masks[i], lat.intent_masks[i]) for i in idxs]
-    else:
-        masks = _chain_best_descent(ctx, unc_cols)
 
     masks = [(e, b) for e, b in masks if e and b]  # prune empty tiles
     masks.sort(key=lambda p: bin(p[0]).count("1"))  # increasing extent
@@ -211,8 +202,7 @@ def factor_tiles(ctx: FormalContext, factor: OrdinalFactor) -> frozenset[tuple[s
     return frozenset(out)
 
 
-def ordinal_factorization(ctx: FormalContext, k: int,
-                          budget: int = DEFAULT_CONCEPT_BUDGET) -> Factorization:
+def ordinal_factorization(ctx: FormalContext, k: int) -> Factorization:
     """k successive largest ordinal factors on a shrinking uncovered set."""
     if k < 1:
         raise OdskError("need k >= 1 factors")
@@ -220,7 +210,7 @@ def ordinal_factorization(ctx: FormalContext, k: int,
     uncovered = incidences
     factors = []
     for _ in range(k):
-        factor = largest_ordinal_factor(ctx, uncovered, budget=budget)
+        factor = largest_ordinal_factor(ctx, uncovered)
         factors.append(factor)
         uncovered = uncovered - factor_tiles(ctx, factor)
     covered = incidences - uncovered

@@ -1,17 +1,18 @@
 """Formal concept analysis: contexts, concept lattices, implications,
 Guttman/Ferrers recognition, and the Burmeister CXT file format.
 
-Concept enumeration uses NextClosure with the Close-by-One canonicity
-test, so concepts are emitted in lectic order of intents. When the
-context has more attributes than objects it is transposed internally;
-the emitted order is always defined on the original orientation.
+One NextClosure enumerator, ``_next_closure``, lists the closed sets of
+a closure operator in lectic order. ``concepts`` runs it on intents (on
+extents when there are more attributes than objects, then sorts by
+intent); ``canonical_base`` runs it on the closure under the
+implications found so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConceptBudgetExceeded, OdskError, ParseError, UnknownAttribute
 from .order import Poset, _bits, _check_elements
@@ -120,33 +121,31 @@ def _lectic_key(mask: int, width: int) -> int:
     return key
 
 
-def _next_closure_intents(ctx: FormalContext, budget: int):
-    """Yield all intents in lectic order via NextClosure.
+def _next_closure(width: int, close: Callable[[int], int], budget: int):
+    """Yield every ``close``-closed subset of ``range(width)`` as a
+    bitmask, in lectic order (Ganter's NextClosure); bit 0 weighs most.
 
-    Canonicity: B + j is accepted iff its closure agrees with B below j.
+    The successor of A is close(A below j, plus j) for the largest j
+    whose closure agrees with A below j. ``close`` is called afresh for
+    each candidate, so it may grow between yields, as the canonical
+    base's implication closure does. Raises ConceptBudgetExceeded once
+    more than ``budget`` closed sets exist.
     """
-    m = len(ctx.attributes)
-    full = (1 << m) - 1
-    B = ctx._intent_of((1 << len(ctx.objects)) - 1)
-    emitted = 0
-    while True:
-        yield B
-        emitted += 1
-        if emitted > budget:
-            raise ConceptBudgetExceeded(
-                f"more than {budget} concepts", upper=None)
-        if B == full:
-            return
-        for j in reversed(range(m)):
+    A = close(0)
+    for _ in range(budget):
+        yield A
+        for j in reversed(range(width)):
             bit = 1 << j
-            if B & bit:
-                B &= ~bit
+            if A & bit:
+                A ^= bit
             else:
-                D = ctx._intent_of(ctx._extent_of(B | bit))
-                low = bit - 1
-                if (D & low) == (B & low):
-                    B = D
+                B = close(A | bit)
+                if B & (bit - 1) == A & (bit - 1):
+                    A = B
                     break
+        else:
+            return
+    raise ConceptBudgetExceeded(f"more than {budget} closed sets")
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,18 +172,22 @@ class ConceptLattice:
         """Concept i is a subconcept of j (extent containment)."""
         return self.extent_masks[i] | self.extent_masks[j] == self.extent_masks[j]
 
+    @cached_property
+    def extent_index(self) -> dict[int, int]:
+        """Concept index of each extent mask."""
+        return {e: i for i, e in enumerate(self.extent_masks)}
+
+    # Extents and intents are each closed under intersection, so the
+    # meet's extent and the join's intent need no further closure.
     def meet(self, i: int, j: int) -> int:
-        ext = self.extent_masks[i] & self.extent_masks[j]
-        ext = self.context._extent_of(self.context._intent_of(ext))
-        return self.extent_masks.index(ext)
+        return self.extent_index[self.extent_masks[i] & self.extent_masks[j]]
 
     def join(self, i: int, j: int) -> int:
         itt = self.intent_masks[i] & self.intent_masks[j]
-        itt = self.context._intent_of(self.context._extent_of(itt))
-        return self.intent_masks.index(itt)
+        return self.extent_index[self.context._extent_of(itt)]
 
     def top(self) -> int:
-        return self.extent_masks.index(max(self.extent_masks, key=lambda e: bin(e).count("1")))
+        return self.extent_index[(1 << len(self.context.objects)) - 1]
 
     def is_chain(self) -> bool:
         return all(self.leq(i, j) or self.leq(j, i)
@@ -207,15 +210,16 @@ class ConceptLattice:
 
 def concepts(ctx: FormalContext, budget: int = DEFAULT_CONCEPT_BUDGET) -> ConceptLattice:
     """Enumerate all formal concepts, emitted in lectic order of intents."""
-    if len(ctx.attributes) <= len(ctx.objects) or len(ctx.objects) == 0:
-        intents = list(_next_closure_intents(ctx, budget))
+    m, n = len(ctx.attributes), len(ctx.objects)
+    if m <= n or n == 0:
+        intents = list(_next_closure(
+            m, lambda b: ctx._intent_of(ctx._extent_of(b)), budget))
         extents = [ctx._extent_of(b) for b in intents]
     else:
-        flipped = ctx.transpose()
-        extents = list(_next_closure_intents(flipped, budget))
-        intents = [flipped._extent_of(e) for e in extents]
-        pairs = sorted(zip(intents, extents),
-                       key=lambda p: _lectic_key(p[0], len(ctx.attributes)))
+        extents = list(_next_closure(
+            n, lambda e: ctx._extent_of(ctx._intent_of(e)), budget))
+        pairs = sorted(((ctx._intent_of(e), e) for e in extents),
+                       key=lambda p: _lectic_key(p[0], m))
         intents = [b for b, _ in pairs]
         extents = [e for _, e in pairs]
     return ConceptLattice(ctx, tuple(extents), tuple(intents))
@@ -275,10 +279,9 @@ def canonical_base(ctx: FormalContext,
 
     Enumerates, in lectic order, the sets closed under the implications
     found so far; every such set that is not context-closed is a
-    pseudo-intent and contributes one implication.
+    pseudo-intent and contributes one implication. ``budget`` bounds the
+    closed sets, intents plus pseudo-intents.
     """
-    m = len(ctx.attributes)
-    full = (1 << m) - 1
     base_masks: list[tuple[int, int]] = []  # (premise mask, closure mask)
 
     def lclose(mask: int) -> int:
@@ -291,28 +294,10 @@ def canonical_base(ctx: FormalContext,
                     changed = True
         return mask
 
-    steps = 0
-    A = lclose(0)
-    while True:
-        steps += 1
-        if steps > budget:
-            raise ConceptBudgetExceeded(f"more than {budget} closure steps")
+    for A in _next_closure(len(ctx.attributes), lclose, budget):
         closed = ctx._intent_of(ctx._extent_of(A))
         if closed != A:
             base_masks.append((A, closed))
-        if A == full:
-            break
-        for j in reversed(range(m)):
-            bit = 1 << j
-            if A & bit:
-                A &= ~bit
-            else:
-                B = lclose(A | bit)
-                if (B & (bit - 1)) == (A & (bit - 1)):
-                    A = B
-                    break
-        else:  # pragma: no cover - NextClosure always advances
-            break
     attrs = ctx.attributes
     return tuple(
         Implication(frozenset(attrs[j] for j in _bits(prem)),

@@ -187,19 +187,21 @@ def mediated_metric(ctx: FormalContext, d_g: FiniteMetric) -> MediatedMetric:
     """Lift an object metric to attributes via extents and Hausdorff."""
     if sorted(ctx.objects) != sorted(d_g.elements):
         raise OdskError("metric elements differ from context objects")
-    extents = [tuple(ctx.objects[i] for i in _bits(col)) for col in ctx.cols]
-    empty = tuple(m for m, ext in zip(ctx.attributes, extents) if not ext)
-    k = len(ctx.attributes)
+    pos = {name: k for k, name in enumerate(d_g.elements)}
+    metric_index = [pos[g] for g in ctx.objects]
+    cols = ctx.cols
+    extents = [[metric_index[i] for i in _bits(col)] for col in cols]
+    empty = tuple(m for m, col in zip(ctx.attributes, cols) if not col)
     table = []
-    for i in range(k):
+    for ci, ei in zip(cols, extents):
         row: list[Number | None] = []
-        for j in range(k):
-            if not extents[i] or not extents[j]:
+        for cj, ej in zip(cols, extents):
+            if not ci or not cj:
                 row.append(None)
-            elif set(extents[i]) == set(extents[j]):
+            elif ci == cj:
                 row.append(0)
             else:
-                row.append(hausdorff(d_g, extents[i], extents[j]))
+                row.append(_hausdorff_indices(d_g.d, ei, ej))
         table.append(tuple(row))
     return MediatedMetric(ctx.attributes, tuple(table), empty)
 

@@ -19,12 +19,10 @@ DEFAULT_COUNT_BUDGET = 20  # max element count for exact extension counting
 
 def _bits(mask: int):
     """Yield set bit positions of ``mask`` in increasing order."""
-    i = 0
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _check_elements(elements: Sequence[str]) -> tuple[str, ...]:
@@ -243,8 +241,9 @@ class Poset:
         """(max antichain size, max chain size).
 
         Width by Dilworth: minimum chain cover via maximum bipartite
-        matching on the strict comparability graph. Height by longest
-        path over the cover relation.
+        matching on the strict comparability graph, grown by depth-first
+        augmenting paths on an explicit stack, since a path can be as
+        long as the poset. Height by longest path over the cover relation.
         """
         n = len(self)
         if n == 0:
@@ -252,19 +251,31 @@ class Poset:
         strict = [self.up[i] & ~(1 << i) for i in range(n)]
         match_of = [-1] * n  # right vertex -> matched left vertex
 
-        def augment(i: int, visited: list[bool]) -> bool:
-            for j in _bits(strict[i]):
-                if not visited[j]:
-                    visited[j] = True
-                    if match_of[j] < 0 or augment(match_of[j], visited):
-                        match_of[j] = i
-                        return True
+        def augment(root: int) -> bool:
+            visited = [False] * n
+            lefts = [root]  # left vertices on the current path
+            rights: list[int] = []  # rights[k] leads from lefts[k] to lefts[k + 1]
+            untried = [_bits(strict[root])]
+            while untried:
+                for j in untried[-1]:
+                    if not visited[j]:
+                        visited[j] = True
+                        rights.append(j)
+                        if match_of[j] < 0:
+                            for i, r in zip(lefts, rights):
+                                match_of[r] = i
+                            return True
+                        lefts.append(match_of[j])
+                        untried.append(_bits(strict[match_of[j]]))
+                        break
+                else:
+                    untried.pop()
+                    lefts.pop()
+                    if rights:
+                        rights.pop()
             return False
 
-        matching = 0
-        for i in range(n):
-            if augment(i, [False] * n):
-                matching += 1
+        matching = sum(augment(i) for i in range(n))
         width = n - matching
         height = len(self.height_levels())
         return (width, height)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from odsk import (FormalContext, WrongFactorCount, biplot, boolean_greedy,
@@ -123,6 +125,23 @@ def _dp_best_coverage(ctx: FormalContext, uncovered) -> int:
                     best[i] = cand
         overall = max(overall, best[i])
     return overall
+
+
+def test_exact_path_up_to_twelve_concepts(monkeypatch):
+    from odsk import factors
+    calls = Counter()
+    for name in ("_chain_best_exhaustive", "_chain_best_descent"):
+        def counted(*args, _name=name, _orig=getattr(factors, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(factors, name, counted)
+    for n, path in ((12, "_chain_best_exhaustive"), (13, "_chain_best_descent")):
+        ctx = staircase(n)
+        assert len(concepts(ctx)) == n
+        calls.clear()
+        factor = largest_ordinal_factor(ctx)
+        assert calls == {path: 1}
+        assert factor_tiles(ctx, factor) == ctx.incidences()
 
 
 def test_exhaustive_factor_matches_dp_oracle(rng):

@@ -2,9 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from odsk import (FormalContext, Implication, UnknownAttribute, canonical_base,
-                  clarify, concepts, entails, holds, is_guttman, read_cxt,
-                  write_cxt)
+from odsk import (ConceptBudgetExceeded, FormalContext, Implication,
+                  UnknownAttribute, canonical_base, clarify, concepts, entails,
+                  holds, is_guttman, read_cxt, write_cxt)
 from odsk import ParseError
 from odsk.fca import implication_closure
 from odsk.fixtures import airlines, fixture_text, rembrandt, socialnet
@@ -111,6 +111,31 @@ def test_lattice_meet_join_unique(rng):
                 assert lat.meet(i, j) == best
 
 
+def test_lattice_join_and_top_unique(rng):
+    for _ in range(10):
+        ctx = random_context(rng, rng.randint(0, 6), rng.randint(0, 6))
+        lat = concepts(ctx)
+        exts = lat.extent_masks
+        assert exts[lat.top()] == (1 << len(ctx.objects)) - 1
+        for i in range(len(lat)):
+            for j in range(len(lat)):
+                # brute-force join: unique minimal common upper bound
+                uppers = [k for k in range(len(lat))
+                          if exts[i] | exts[k] == exts[k] and exts[j] | exts[k] == exts[k]]
+                best = min(uppers, key=lambda k: bin(exts[k]).count("1"))
+                assert all(exts[best] | exts[k] == exts[k] for k in uppers)
+                assert lat.join(i, j) == best
+
+
+def test_concepts_budget_boundary(rng):
+    # the last context is wide, so NextClosure runs on extents
+    for ctx in (rembrandt(), contranominal(4), random_context(rng, 3, 7)):
+        n = len(concepts(ctx))
+        assert len(concepts(ctx, budget=n)) == n
+        with pytest.raises(ConceptBudgetExceeded):
+            concepts(ctx, budget=n - 1)
+
+
 def test_lectic_order_strictly_increasing(rng):
     from odsk.fca import _lectic_key
     for _ in range(10):
@@ -183,6 +208,15 @@ def test_canonical_base_sound_and_complete(rng):
                 for concl in ctx.attributes:
                     imp = Implication(frozenset(prem), frozenset({concl}))
                     assert holds(ctx, imp) == entails(base, imp)
+
+
+def test_canonical_base_budget_counts_intents_and_pseudo_intents(rng):
+    for ctx in (rembrandt(), contranominal(3), random_context(rng, 6, 5)):
+        base = canonical_base(ctx)
+        closed_sets = len(concepts(ctx)) + len(base)
+        assert canonical_base(ctx, budget=closed_sets) == base
+        with pytest.raises(ConceptBudgetExceeded):
+            canonical_base(ctx, budget=closed_sets - 1)
 
 
 def test_implication_closure_iterates():

@@ -163,6 +163,30 @@ def test_mediated_metric_pseudometric_cases():
     assert med.dist("m1", "m3") is None
 
 
+def test_mediated_metric_metric_order_and_decimal_distances(rng):
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        ctx = FormalContext(tuple(f"g{i}" for i in range(n)),
+                            tuple(f"m{j}" for j in range(5)),
+                            tuple(rng.getrandbits(5) for _ in range(n)))
+        base = random_metric(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)  # metric lists the objects in another order
+        d = FiniteMetric(tuple(f"g{i}" for i in order),
+                         tuple(tuple(Decimal(base.d[a][b]) for b in order) for a in order))
+        med = mediated_metric(ctx, d)
+        for j, m1 in enumerate(ctx.attributes):
+            e1 = ctx.derive("attributes", [m1])
+            for k, m2 in enumerate(ctx.attributes):
+                e2 = ctx.derive("attributes", [m2])
+                if not e1 or not e2:
+                    assert med.dist(m1, m2) is None
+                elif ctx.cols[j] == ctx.cols[k]:
+                    assert type(med.dist(m1, m2)) is int and med.dist(m1, m2) == 0
+                else:
+                    assert med.dist(m1, m2) == hausdorff(d, e1, e2)
+
+
 # -- valuation order and disagreement -------------------------------------
 
 

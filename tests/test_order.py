@@ -182,6 +182,17 @@ def test_width_height_examples():
     assert Poset.chain("abcd").width_height() == (1, 4)
 
 
+def test_width_height_long_augmenting_paths():
+    # fence a_i < b_i, a_i < b_(i-1): augmenting paths run along the fence,
+    # far deeper than the interpreter's recursion limit
+    n = 1100
+    names = tuple(f"b{i}" for i in range(n)) + tuple(f"a{i}" for i in range(n))
+    up = [1 << i for i in range(n)]
+    for i in range(n):
+        up.append(1 << (n + i) | 1 << i | (1 << (i - 1) if i else 0))
+    assert Poset(names, tuple(up)).width_height() == (n, 2)
+
+
 def test_width_height_boolean_cube():
     from conftest import boolean_cube
     assert boolean_cube(3).width_height() == (3, 4)
