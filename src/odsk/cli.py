@@ -21,7 +21,8 @@ from .layout import dimdraw, layered, quality, render
 from .omspace import (OmSpace, mediated_metric, read_distance_csv,
                       relational_distortion)
 from .order import Relation, pareto_maxima, poset_from_tsv, product_order
-from .scaling import apply_scaling, read_scaling_spec, read_table_csv
+from .scaling import (apply_scaling, read_scaling_spec, read_table_csv,
+                      to_ordinal_structure)
 
 
 class Report:
@@ -83,7 +84,6 @@ def _load_poset_arg(path: str, spec: str | None, no_quotient: bool):
     if path.endswith(".csv"):
         if not spec:
             raise OdskError("a .csv input needs --spec for the domination order")
-        from .scaling import to_ordinal_structure
         table = read_table_csv(_read(path))
         specs = read_scaling_spec(_read(spec))
         structure = to_ordinal_structure(table.select(list(specs)), specs)
@@ -188,7 +188,6 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    from .scaling import to_ordinal_structure
     table = read_table_csv(_read(args.table))
     specs = read_scaling_spec(_read(args.spec))
     structure = to_ordinal_structure(table.select(list(specs)), specs)
@@ -303,17 +302,16 @@ def _cmd_draw(args) -> int:
         if args.algo == "dimdraw" else layered(poset)
     fmt = "dot" if (args.output or "").endswith(".dot") else "svg"
     doc = render(drawing, fmt=fmt, labels=labels)
-    if args.output:
-        Path(args.output).write_text(doc, encoding="utf-8")
-    else:
+    if not args.output:
         sys.stdout.write(doc)
+        return 0
+    Path(args.output).write_text(doc, encoding="utf-8")
     metrics = quality(drawing)
     rep = Report()
     rep.add("crossings", metrics.crossings)
     rep.add("distinct_slopes", metrics.distinct_slopes)
     rep.add("min_node_edge_distance", round(metrics.min_node_edge_distance, 4))
-    if args.output:
-        rep.emit(args.json)
+    rep.emit(args.json)
     return 0
 
 

@@ -4,17 +4,20 @@ The completion is computed as the concept lattice of the context
 (P, P, <=). Dimension search partitions the critical pairs into
 reversible classes: a class is reversible iff the strict order plus the
 reversed pairs stays acyclic, in which case a topological sort yields a
-linear extension reversing exactly that class. Classes are filled in
-lexicographic critical-pair order, first-fit with backtracking, so
-results are deterministic. The search starts at a certified lower bound:
-3 when the conflict graph of the critical pairs (two pairs conflict when
-they form an alternating 2-cycle, so no linear extension reverses both)
-has an odd cycle, else 2.
+linear extension reversing exactly that class. One iterative first-fit
+search with backtracking fills the classes in lexicographic
+critical-pair order, so results are deterministic. With no cap on the
+number of classes its first descent never backtracks (a fresh class
+takes any critical pair), and the class count it reaches is the upper
+bound. The search starts at a certified lower bound: 3 when the
+conflict graph of the critical pairs (two pairs conflict when they form
+an alternating 2-cycle, so no linear extension reverses both) has an
+odd cycle, else 2. The bound and the search both run under the
+deadline of `order_dimension`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -23,16 +26,6 @@ from .fca import ConceptLattice, FormalContext, concepts
 from .order import LinearExtension, Poset, _bits, intersect_linear_orders
 
 DEFAULT_BUDGET_MS = 60_000
-
-
-def default_budget_ms() -> int:
-    raw = os.environ.get("ODSK_BUDGET_MS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise OdskError(f"bad ODSK_BUDGET_MS value: {raw!r}") from exc
-    return DEFAULT_BUDGET_MS
 
 
 # -- Dedekind-MacNeille completion ---------------------------------------
@@ -132,53 +125,44 @@ def _closure_add(rows: list[int], n: int, u: int, v: int):
     return undo
 
 
-def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int,
-                      deadline: float):
-    """First-fit backtracking partition of critical pairs into k
-    reversible classes; returns class digraphs or None."""
+def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int | None,
+                      deadline: float | None):
+    """First-fit backtracking partition of the critical pairs into at most
+    k reversible classes (as many as first-fit opens when k is None);
+    returns the class digraphs or None. Classes open lazily, so every
+    open class holds a pair. The deadline is checked on the first node
+    and on every 256th after it."""
     n = len(p)
-    if time.monotonic() > deadline:
-        raise _Timeout
     strict = [p.up[i] & ~(1 << i) for i in range(n)]
-    classes = [strict[:] for _ in range(k)]
-    counter = [0]
-
-    def rec(idx: int, used: int) -> bool:
-        counter[0] += 1
-        if counter[0] % 256 == 0 and time.monotonic() > deadline:
+    cap = len(crit) if k is None else k
+    classes: list[list[int]] = []
+    trail = []  # (class, undo) of each placed pair, in crit order
+    c = 0       # the first class to try for crit[len(trail)]
+    nodes = 0
+    while len(trail) < len(crit):
+        if nodes % 256 == 0 and deadline is not None \
+                and time.monotonic() > deadline:
             raise _Timeout
-        if idx == len(crit):
-            return True
-        a, b = crit[idx]
-        for c in range(min(used + 1, k)):
+        nodes += 1
+        a, b = crit[len(trail)]
+        while c < min(len(classes) + 1, cap):
+            if c == len(classes):
+                classes.append(strict[:])
             undo = _closure_add(classes[c], n, b, a)
             if undo is not None:
-                if rec(idx + 1, max(used, c + 1)):
-                    return True
-                for x, old in undo:
-                    classes[c][x] = old
-        return False
-
-    return classes if rec(0, 0) else None
-
-
-def _greedy_peel_classes(p: Poset, crit: list[tuple[int, int]]) -> list[list[int]]:
-    """Peel reversible classes off the critical pairs in lexicographic
-    order; certifies an upper bound (and a realizer) greedily."""
-    n = len(p)
-    strict = [p.up[i] & ~(1 << i) for i in range(n)]
-    remaining = list(crit)
-    classes = []
-    while remaining:
-        rows = strict[:]
-        leftover = []
-        for a, b in remaining:
-            if _closure_add(rows, n, b, a) is None:
-                leftover.append((a, b))
-        classes.append(rows)
-        if len(leftover) == len(remaining):  # pragma: no cover - defensive
-            raise OdskError("irreversible critical pair")
-        remaining = leftover
+                trail.append((c, undo))
+                c = 0
+                break
+            c += 1
+        else:  # no class may take the pair: backtrack
+            if not trail:
+                return None
+            c, undo = trail.pop()
+            for x, old in undo:
+                classes[c][x] = old
+            if classes[-1] == strict:  # its opener was just taken out
+                classes.pop()
+            c += 1
     return classes
 
 
@@ -217,17 +201,23 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
     return False
 
 
-def _bounds(p: Poset, crit: list[tuple[int, int]]) -> tuple[int, int]:
+def _bounds(p: Poset, crit: list[tuple[int, int]],
+            deadline: float | None = None) -> tuple[int, int]:
     lower = 3 if _odd_conflict_cycle(p, crit) else 2
     width, _ = p.width_height()
-    upper = min(width, len(_greedy_peel_classes(p, crit)))
-    return (lower, max(lower, upper))
+    try:
+        peel = _search_partition(p, crit, None, deadline)
+    except _Timeout:
+        raise BudgetExceeded("dimension upper bound timed out",
+                             lower=lower, upper=max(lower, width)) from None
+    return (lower, max(lower, min(width, len(peel))))
 
 
 def dimension_bounds(p: Poset) -> tuple[int, int]:
     """Certified (lower, upper) dimension bounds.
 
-    Upper: min of the width and the greedy reversible-class peel count.
+    Upper: min of the width and the number of reversible classes that
+    first-fit opens with no cap on their number.
     Lower: 1 for chains, else 2, raised to 3 when the conflict graph of
     the critical pairs (pairs forming an alternating 2-cycle) has an odd
     cycle, so that no two linear extensions can reverse them all.
@@ -248,7 +238,7 @@ def order_dimension(p: Poset, max_k: int | None = None,
     """
     if max_k is not None and max_k < 1:
         raise OdskError("max_k must be >= 1")
-    budget = default_budget_ms() if budget_ms is None else budget_ms
+    budget = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
     deadline = time.monotonic() + budget / 1000.0
 
     if len(p) == 0:
@@ -258,7 +248,7 @@ def order_dimension(p: Poset, max_k: int | None = None,
         ext = p.greedy_linear_extension()
         return DimensionResult(1, Realizer((ext,)))
 
-    lower, upper = _bounds(p, crit)
+    lower, upper = _bounds(p, crit, deadline)
     k_cap = upper if max_k is None else max_k
     k = max(lower, 2)
     proven_lower = k

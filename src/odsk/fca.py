@@ -38,23 +38,6 @@ class FormalContext:
             if r & ~full:
                 raise OdskError("incidence row wider than attribute count")
 
-    @classmethod
-    def from_crosses(cls, objects: Sequence[str], attributes: Sequence[str],
-                     crosses: Iterable[tuple[str, str]]) -> "FormalContext":
-        objs, attrs = tuple(objects), tuple(attributes)
-        gi = {g: i for i, g in enumerate(objs)}
-        mi = {m: j for j, m in enumerate(attrs)}
-        rows = [0] * len(objs)
-        for g, m in crosses:
-            rows[gi[g]] |= 1 << mi[m]
-        return cls(objs, attrs, tuple(rows))
-
-    @classmethod
-    def from_bools(cls, objects: Sequence[str], attributes: Sequence[str],
-                   table: Sequence[Sequence[bool]]) -> "FormalContext":
-        rows = tuple(sum(1 << j for j, v in enumerate(row) if v) for row in table)
-        return cls(tuple(objects), tuple(attributes), rows)
-
     @cached_property
     def cols(self) -> tuple[int, ...]:
         out = [0] * len(self.attributes)
@@ -70,9 +53,6 @@ class FormalContext:
     def incidences(self) -> frozenset[tuple[str, str]]:
         return frozenset((self.objects[g], self.attributes[m])
                          for g, r in enumerate(self.rows) for m in _bits(r))
-
-    def transpose(self) -> "FormalContext":
-        return FormalContext(self.attributes, self.objects, self.cols)
 
     # -- derivation ----------------------------------------------------
 

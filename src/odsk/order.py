@@ -78,17 +78,9 @@ class Relation:
             out[a] |= 1 << b
         return out
 
-    @property
-    def is_reflexive(self) -> bool:
-        return all((a, a) in self.pairs for a in range(len(self.elements)))
-
     def reflexive_closure(self) -> "Relation":
         extra = frozenset((a, a) for a in range(len(self.elements)))
         return Relation(self.elements, self.pairs | extra)
-
-    def named_pairs(self) -> tuple[tuple[str, str], ...]:
-        e = self.elements
-        return tuple(sorted((e[a], e[b]) for a, b in self.pairs))
 
 
 def _strong_components(rows: list[int], n: int) -> list[list[int]]:
@@ -201,10 +193,6 @@ class Poset:
         e = self.elements
         return tuple((e[i], e[j]) for i in range(len(self))
                      for j in _bits(self.cover_rows[i]))
-
-    def minimal_elements(self) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in range(len(self))
-                     if self.down[j] == 1 << j)
 
     def maximal_elements(self) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in range(len(self))

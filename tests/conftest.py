@@ -22,6 +22,14 @@ def random_poset(rng: random.Random, n: int, p: float = 0.3) -> Poset:
     return Poset.from_pairs(elements, pairs)
 
 
+def fence(m: int) -> Poset:
+    """The fence a_i < b_i, a_i < b_(i-1) on 2m elements: width m,
+    dimension 2, and a number of critical pairs quadratic in m."""
+    elements = [f"a{i}" for i in range(m)] + [f"b{i}" for i in range(m)]
+    pairs = [(f"a{i}", f"b{j}") for i in range(m) for j in (i - 1, i) if j >= 0]
+    return Poset.from_pairs(elements, pairs)
+
+
 def random_context(rng: random.Random, n_obj: int, n_att: int,
                    density: float = 0.5) -> FormalContext:
     rows = tuple(

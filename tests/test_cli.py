@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+import odsk.cli
 from odsk import ParseError
 from odsk.cli import _read, run
 from odsk.fixtures import fixture_path
+
+from conftest import fence
 
 REMBRANDT = str(fixture_path("rembrandt.cxt"))
 AIRLINES = str(fixture_path("airlines.cxt"))
@@ -135,6 +138,32 @@ def test_draw_svg_and_dot(tmp_path, capsys):
     assert run(["draw", REMBRANDT, "--algo", "dimdraw", "--reduced-labels",
                 "-o", str(dot)]) == 0
     assert dot.read_text(encoding="utf-8").startswith("digraph")
+
+
+def test_draw_quality_only_for_the_report(tmp_path, monkeypatch, capsys):
+    calls = []
+    measure = odsk.cli.quality
+
+    def counted(drawing):
+        calls.append(drawing)
+        return measure(drawing)
+
+    monkeypatch.setattr(odsk.cli, "quality", counted)
+    assert run(["draw", BUNDES_TSV, "--algo", "layered"]) == 0
+    assert out_of(capsys).startswith("<?xml")
+    assert calls == []
+    assert run(["draw", BUNDES_TSV, "--algo", "layered",
+                "-o", str(tmp_path / "out.svg")]) == 0
+    assert out_of(capsys).startswith("crossings: ")
+    assert len(calls) == 1
+
+
+def test_dimension_fence_beyond_the_recursion_limit(tmp_path, capsys):
+    p = fence(40)
+    path = tmp_path / "fence.tsv"
+    path.write_text("".join(f"{a}\t{b}\n" for a, b in p.covers), encoding="utf-8")
+    assert run(["dimension", str(path)]) == 0
+    assert "dimension: 2" in out_of(capsys)
 
 
 def test_json_mode(capsys):

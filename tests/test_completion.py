@@ -8,7 +8,7 @@ from odsk import (BudgetExceeded, LinearExtension, Poset, critical_pairs,
                   dedekind_macneille, dimension_bounds, intersect_linear_orders,
                   order_dimension)
 
-from conftest import (boolean_cube, brute_cut_count, random_poset,
+from conftest import (boolean_cube, brute_cut_count, fence, random_poset,
                       standard_example)
 
 
@@ -275,6 +275,60 @@ def test_odd_cycle_refutes_k2_without_search(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         order_dimension(p, max_k=2)
     assert exc.value.lower == 3
-    assert calls == []
+    assert calls == [None]  # the upper-bound peel only
     order_dimension(standard_example(2))
-    assert calls == [2]  # the counter does see a search
+    assert calls == [None, None, 2]  # the counter does see a search
+
+
+# -- one first-fit search for the bound and the realizer ---------------------
+
+
+def _old_greedy_peel_count(p: Poset) -> int:
+    """The earlier upper-bound routine: peel reversible classes off the
+    critical pairs in lexicographic order and count them."""
+    n = len(p)
+    strict = [p.up[i] & ~(1 << i) for i in range(n)]
+    remaining = completion._critical_pair_indices(p)
+    count = 0
+    while remaining:
+        rows = strict[:]
+        remaining = [(a, b) for a, b in remaining
+                     if completion._closure_add(rows, n, b, a) is None]
+        count += 1
+    return count
+
+
+def test_dimension_bounds_match_old_peel(rng):
+    for _ in range(300):
+        p = random_poset(rng, rng.randint(1, 12),
+                         p=rng.choice([0.1, 0.2, 0.35, 0.5]))
+        lo, hi = dimension_bounds(p)
+        if not completion._critical_pair_indices(p):
+            assert (lo, hi) == (1, 1)
+            continue
+        width, _ = p.width_height()
+        assert hi == max(lo, min(width, _old_greedy_peel_count(p)))
+
+
+def test_fence_beyond_the_recursion_limit():
+    # 1,523 critical pairs, one search level each
+    p = fence(40)
+    assert len(completion._critical_pair_indices(p)) == 1523
+    res = order_dimension(p)
+    assert res.dim == 2
+    assert same_order(intersect_linear_orders(res.realizer.extensions), p)
+
+
+def test_bound_peel_runs_under_the_deadline(monkeypatch):
+    calls = []
+    add = completion._closure_add
+
+    def counted(*args):
+        calls.append(args[2:])
+        return add(*args)
+
+    monkeypatch.setattr(completion, "_closure_add", counted)
+    with pytest.raises(BudgetExceeded) as exc:
+        order_dimension(fence(200), budget_ms=0)
+    assert (exc.value.lower, exc.value.upper) == (2, 200)  # upper: the width
+    assert calls == []
