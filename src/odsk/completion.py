@@ -9,7 +9,9 @@ search with backtracking fills the classes in lexicographic
 critical-pair order, so results are deterministic. With no cap on the
 number of classes its first descent never backtracks (a fresh class
 takes any critical pair), and the class count it reaches is the upper
-bound. The search starts at a certified lower bound: 3 when the
+bound. Capped at that count or more, first-fit retraces the descent, so
+the descent's classes are the realizer there and are not searched
+again. The search starts at a certified lower bound: 3 when the
 conflict graph of the critical pairs (two pairs conflict when they form
 an alternating 2-cycle, so no linear extension reverses both) has an
 odd cycle, else 2. The bound and the search both run under the
@@ -61,18 +63,18 @@ def dedekind_macneille(p: Poset) -> Completion:
 
 
 def _critical_pair_indices(p: Poset) -> list[tuple[int, int]]:
+    """From the cover rows: b lies above every lower cover of a, and
+    every upper cover of b lies above a."""
     n = len(p)
+    below_a = [(1 << n) - 1] * n  # meet of up(c) over a's lower covers c
+    for c in range(n):
+        for a in _bits(p.cover_rows[c]):
+            below_a[a] &= p.up[c]
     out = []
     for a in range(n):
-        up_a = p.up[a] & ~(1 << a)
-        dn_a = p.down[a] & ~(1 << a)
-        for b in range(n):
-            if a == b or (p.up[a] >> b & 1) or (p.up[b] >> a & 1):
-                continue
-            dn_b = p.down[b] & ~(1 << b)
-            up_b = p.up[b] & ~(1 << b)
-            if dn_a & ~dn_b == 0 and up_b & ~up_a == 0:
-                out.append((a, b))
+        cand = below_a[a] & ~(p.up[a] | p.down[a])
+        out.extend((a, b) for b in _bits(cand)
+                   if p.cover_rows[b] & ~p.up[a] == 0)
     return out
 
 
@@ -202,7 +204,8 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
 
 
 def _bounds(p: Poset, crit: list[tuple[int, int]],
-            deadline: float | None = None) -> tuple[int, int]:
+            deadline: float | None = None) -> tuple[int, int, list[list[int]]]:
+    """(lower, upper, the classes of the uncapped first-fit descent)."""
     lower = 3 if _odd_conflict_cycle(p, crit) else 2
     width, _ = p.width_height()
     try:
@@ -210,7 +213,7 @@ def _bounds(p: Poset, crit: list[tuple[int, int]],
     except _Timeout:
         raise BudgetExceeded("dimension upper bound timed out",
                              lower=lower, upper=max(lower, width)) from None
-    return (lower, max(lower, min(width, len(peel))))
+    return lower, max(lower, min(width, len(peel))), peel
 
 
 def dimension_bounds(p: Poset) -> tuple[int, int]:
@@ -225,7 +228,7 @@ def dimension_bounds(p: Poset) -> tuple[int, int]:
     crit = _critical_pair_indices(p)
     if not crit:
         return (1, 1)
-    return _bounds(p, crit)
+    return _bounds(p, crit)[:2]
 
 
 def order_dimension(p: Poset, max_k: int | None = None,
@@ -241,37 +244,29 @@ def order_dimension(p: Poset, max_k: int | None = None,
     budget = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
     deadline = time.monotonic() + budget / 1000.0
 
-    if len(p) == 0:
-        return DimensionResult(1, Realizer((LinearExtension(()),)))
     crit = _critical_pair_indices(p)
     if not crit:
-        ext = p.greedy_linear_extension()
-        return DimensionResult(1, Realizer((ext,)))
+        return DimensionResult(1, Realizer((p.greedy_linear_extension(),)))
 
-    lower, upper = _bounds(p, crit, deadline)
+    lower, upper, peel = _bounds(p, crit, deadline)
     k_cap = upper if max_k is None else max_k
-    k = max(lower, 2)
-    proven_lower = k
-    while k <= k_cap:
+    for k in range(lower, k_cap + 1):
         try:
-            found = _search_partition(p, crit, k, deadline)
+            # capped at k >= len(peel), first-fit retraces the descent
+            found = peel if k >= len(peel) \
+                else _search_partition(p, crit, k, deadline)
         except _Timeout:
-            raise BudgetExceeded(
-                f"dimension search timed out at k={k}",
-                lower=proven_lower, upper=upper) from None
+            raise BudgetExceeded(f"dimension search timed out at k={k}",
+                                 lower=k, upper=upper) from None
         if found is not None:
             # each class digraph plus the diagonal is an order whose
             # greedy extension reverses exactly that class
             exts = tuple(
                 Poset(p.elements, tuple(row | 1 << i for i, row in enumerate(rows)))
                 .greedy_linear_extension() for rows in found)
-            realizer = Realizer(exts)
             verify = intersect_linear_orders(exts)
             if sorted(verify.covers) != sorted(p.covers):  # pragma: no cover
                 raise OdskError("realizer verification failed")
-            return DimensionResult(k, realizer)
-        proven_lower = k + 1
-        k += 1
-    raise BudgetExceeded(
-        f"no realizer with at most {k_cap} extensions",
-        lower=proven_lower, upper=upper)
+            return DimensionResult(k, Realizer(exts))
+    raise BudgetExceeded(f"no realizer with at most {k_cap} extensions",
+                         lower=max(lower, k_cap + 1), upper=upper)

@@ -5,9 +5,9 @@ in its extent and m in its intent, so chains are Ferrers subrelations of
 the incidence. "Largest" always means most newly covered incidences;
 ties prefer shorter chains, then lectic order. Small contexts (at most
 12 concepts, probed by ``concepts`` with that budget) are solved exactly
-by exhaustive chain enumeration; larger ones use a greedy best-first
-chain descent through the lattice, adding one threshold attribute at a
-time.
+by a longest-path DP over the lattice (chain coverage adds up along
+consecutive concepts); larger ones use a greedy best-first chain descent
+through the lattice, adding one threshold attribute at a time.
 """
 
 from __future__ import annotations
@@ -84,46 +84,29 @@ def boolean_greedy(ctx: FormalContext, k: int | None = None,
         tuple(lat.concepts[i] for i in chosen), covered, uncovered)
 
 
-def _chain_best_exhaustive(ctx: FormalContext, lat: ConceptLattice,
-                           unc_cols: tuple[int, ...]) -> list[int]:
-    """Exact best chain by DFS over all chains of the lattice.
+def _chain_best_dp(lat: ConceptLattice, unc_cols: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact best chain by a longest-path DP over the lattice.
 
     Chains are walked top-down, which is strictly increasing lectic
-    index; scoring uses the newly-covered count with (cov desc, len asc,
-    index tuple asc) tie-breaking.
+    index, so the concepts are visited in reverse lectic order. best[i]
+    is the least key (-coverage below i, length, index tuple) over the
+    chains starting at i. Keys compose by prefix, so the whole chain
+    keeps the (cov desc, len asc, index tuple asc) tie-break.
     """
     n = len(lat)
     exts, itts = lat.extent_masks, lat.intent_masks
-    below = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exts[j] != exts[i] and exts[j] & ~exts[i] == 0:
-                below[i].append(j)
 
     def marginal(i: int, prev_intent: int) -> int:
-        gain = 0
-        for m in _bits(itts[i] & ~prev_intent):
-            gain += bin(unc_cols[m] & exts[i]).count("1")
-        return gain
+        return sum(bin(unc_cols[m] & exts[i]).count("1")
+                   for m in _bits(itts[i] & ~prev_intent))
 
-    best: list = [None]
-
-    def consider(chain: list[int], cov: int):
-        key = (-cov, len(chain), tuple(chain))
-        if best[0] is None or key < best[0][0]:
-            best[0] = (key, tuple(chain))
-
-    def dfs(chain: list[int], cov: int):
-        consider(chain, cov)
-        last = chain[-1]
-        for j in below[last]:
-            chain.append(j)
-            dfs(chain, cov + marginal(j, itts[last]))
-            chain.pop()
-
-    for i in range(n):
-        dfs([i], marginal(i, 0))
-    return list(best[0][1])
+    best: list = [None] * n
+    for i in reversed(range(n)):
+        best[i] = min([(0, 1, (i,))] + [
+            (best[j][0] - marginal(j, itts[i]), best[j][1] + 1, (i,) + best[j][2])
+            for j in range(i + 1, n) if exts[j] & ~exts[i] == 0])
+    return min((cov - marginal(i, 0), length, chain)
+               for i, (cov, length, chain) in enumerate(best))[2]
 
 
 def _chain_best_descent(ctx: FormalContext, unc_cols: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -179,7 +162,7 @@ def largest_ordinal_factor(ctx: FormalContext,
     except ConceptBudgetExceeded:
         masks = _chain_best_descent(ctx, unc_cols)
     else:
-        idxs = _chain_best_exhaustive(ctx, lat, unc_cols)
+        idxs = _chain_best_dp(lat, unc_cols)
         masks = [(lat.extent_masks[i], lat.intent_masks[i]) for i in idxs]
 
     masks = [(e, b) for e, b in masks if e and b]  # prune empty tiles

@@ -197,15 +197,15 @@ def _column_attributes(col: Column, spec: ScaleSpec) -> tuple[tuple[str, ...], l
         n1, m1 = asc_thresholds()
         n2, m2 = desc_thresholds()
         names, masks = n1 + n2, m1 + m2
-    elif spec.kind in ("nominal", "dichotomic"):
+    else:  # nominal, dichotomic, contranominal: one attribute per value
         if spec.kind == "dichotomic" and len(order) != 2:
             raise UnknownValue(
                 f"column {col.name!r}: dichotomic scale needs exactly 2 values, "
                 f"saw {len(order)}")
-        names = [f"{col.name}:=:{v}" for v in order]
-        masks = [sum(1 << i for i, c in enumerate(cells) if c == v) for v in order]
-    else:
-        raise UnsupportedKind(f"no table construction for kind {spec.kind!r}")
+        negate = spec.kind == "contranominal"
+        names = [f"{col.name}:{'!=' if negate else '='}:{v}" for v in order]
+        masks = [sum(1 << i for i, c in enumerate(cells) if (c == v) != negate)
+                 for v in order]
 
     # column-local attribute bit masks -> per-object rows
     rows = [0] * len(col.values)

@@ -103,6 +103,19 @@ def test_scale_roundtrip(tmp_path, capsys):
     assert all(":" in m for m in ctx.attributes)
 
 
+def test_scale_contranominal(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("name,c\nx,1\ny,2\nz,1\n", encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"c": {"kind": "contranominal"}}', encoding="utf-8")
+    out = tmp_path / "derived.cxt"
+    assert run(["scale", str(table), "--spec", str(spec), "-o", str(out)]) == 0
+    from odsk import read_cxt
+    ctx = read_cxt(out.read_text(encoding="utf-8"))
+    assert ctx.attributes == ("c:!=:1", "c:!=:2")
+    assert ctx.rows == (0b10, 0b01, 0b10)
+
+
 def test_factors_socialnet(capsys):
     assert run(["factors", SOCIAL, "-k", "2"]) == 0
     text = out_of(capsys)

@@ -4,9 +4,10 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 import odsk.completion as completion
-from odsk import (BudgetExceeded, LinearExtension, Poset, critical_pairs,
-                  dedekind_macneille, dimension_bounds, intersect_linear_orders,
-                  order_dimension)
+from odsk import (BudgetExceeded, LinearExtension, Poset, concepts,
+                  critical_pairs, dedekind_macneille, dimension_bounds,
+                  intersect_linear_orders, order_dimension)
+from odsk.fixtures import airlines, bundesliga_domination, rembrandt, socialnet
 
 from conftest import (boolean_cube, brute_cut_count, fence, random_poset,
                       standard_example)
@@ -276,8 +277,27 @@ def test_odd_cycle_refutes_k2_without_search(monkeypatch):
         order_dimension(p, max_k=2)
     assert exc.value.lower == 3
     assert calls == [None]  # the upper-bound peel only
-    order_dimension(standard_example(2))
-    assert calls == [None, None, 2]  # the counter does see a search
+    order_dimension(standard_example(4))
+    # the counter does see a search: k=3 is refuted, k=4 reuses the descent
+    assert calls == [None, None, 3]
+
+
+def test_tight_bound_reuses_the_descent(monkeypatch):
+    calls = []
+    search = completion._search_partition
+
+    def counted(*args):
+        calls.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(completion, "_search_partition", counted)
+    for p, dim in ((standard_example(2), 2), (standard_example(3), 3),
+                   (boolean_cube(3), 3), (fence(40), 2)):
+        calls.clear()
+        res = order_dimension(p)
+        assert res.dim == dim
+        assert same_order(intersect_linear_orders(res.realizer.extensions), p)
+        assert calls == [None]  # the descent only
 
 
 # -- one first-fit search for the bound and the realizer ---------------------
@@ -296,6 +316,35 @@ def _old_greedy_peel_count(p: Poset) -> int:
                      if completion._closure_add(rows, n, b, a) is None]
         count += 1
     return count
+
+
+def _old_critical_pairs(p: Poset) -> list[tuple[int, int]]:
+    """The earlier pairwise scan over all (a, b)."""
+    n = len(p)
+    out = []
+    for a in range(n):
+        up_a = p.up[a] & ~(1 << a)
+        dn_a = p.down[a] & ~(1 << a)
+        for b in range(n):
+            if a == b or (p.up[a] >> b & 1) or (p.up[b] >> a & 1):
+                continue
+            dn_b = p.down[b] & ~(1 << b)
+            up_b = p.up[b] & ~(1 << b)
+            if dn_a & ~dn_b == 0 and up_b & ~up_a == 0:
+                out.append((a, b))
+    return out
+
+
+def test_critical_pairs_from_covers_match_pairwise_scan(rng):
+    posets = [random_poset(rng, rng.randint(0, 14),
+                           p=rng.choice([0.1, 0.2, 0.35, 0.5]))
+              for _ in range(300)]
+    posets += [concepts(ctx).to_poset()
+               for ctx in (rembrandt(), airlines(), socialnet())]
+    posets += [bundesliga_domination(), standard_example(4), boolean_cube(4),
+               fence(7), Poset.antichain("abcde"), Poset.chain("abc")]
+    for p in posets:
+        assert completion._critical_pair_indices(p) == _old_critical_pairs(p)
 
 
 def test_dimension_bounds_match_old_peel(rng):

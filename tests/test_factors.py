@@ -130,18 +130,58 @@ def _dp_best_coverage(ctx: FormalContext, uncovered) -> int:
 def test_exact_path_up_to_twelve_concepts(monkeypatch):
     from odsk import factors
     calls = Counter()
-    for name in ("_chain_best_exhaustive", "_chain_best_descent"):
+    for name in ("_chain_best_dp", "_chain_best_descent"):
         def counted(*args, _name=name, _orig=getattr(factors, name)):
             calls[_name] += 1
             return _orig(*args)
         monkeypatch.setattr(factors, name, counted)
-    for n, path in ((12, "_chain_best_exhaustive"), (13, "_chain_best_descent")):
+    for n, path in ((12, "_chain_best_dp"), (13, "_chain_best_descent")):
         ctx = staircase(n)
         assert len(concepts(ctx)) == n
         calls.clear()
         factor = largest_ordinal_factor(ctx)
         assert calls == {path: 1}
         assert factor_tiles(ctx, factor) == ctx.incidences()
+
+
+def _old_chain_dfs(lat, unc_cols) -> tuple[int, ...]:
+    """The earlier exact path: DFS over every chain, top-down, keeping
+    the least (-coverage, length, index tuple)."""
+    exts, itts = lat.extent_masks, lat.intent_masks
+    n = len(lat)
+
+    def marginal(i, prev_intent):
+        return sum(bin(unc_cols[m] & exts[i]).count("1")
+                   for m in range(len(unc_cols)) if (itts[i] & ~prev_intent) >> m & 1)
+
+    best = []
+
+    def dfs(chain, cov):
+        best.append((-cov, len(chain), tuple(chain)))
+        for j in range(chain[-1] + 1, n):
+            if exts[j] != exts[chain[-1]] and exts[j] & ~exts[chain[-1]] == 0:
+                dfs(chain + [j], cov + marginal(j, itts[chain[-1]]))
+
+    for i in range(n):
+        dfs([i], marginal(i, 0))
+    return min(best)[2]
+
+
+def test_factor_dp_matches_chain_dfs(rng):
+    from odsk import factors
+    checked = 0
+    while checked < 200:
+        ctx = random_context(rng, rng.randint(0, 6), rng.randint(0, 6),
+                             rng.choice([0.3, 0.5, 0.7]))
+        lat = concepts(ctx)
+        if len(lat) > factors.EXACT_CONCEPT_LIMIT:
+            continue
+        unc_rows = [row & rng.getrandbits(len(ctx.attributes) or 1)
+                    for row in ctx.rows]
+        unc_cols = FormalContext(ctx.objects, ctx.attributes, tuple(unc_rows)).cols
+        for cols in (ctx.cols, unc_cols):
+            assert factors._chain_best_dp(lat, cols) == _old_chain_dfs(lat, cols)
+        checked += 1
 
 
 def test_exhaustive_factor_matches_dp_oracle(rng):

@@ -57,6 +57,15 @@ def test_nominal_column_one_cross_per_row():
     assert all(bin(r).count("1") == 1 for r in ctx.rows)
 
 
+def test_contranominal_column_complements_nominal():
+    t = _table({"color": ["red", "blue", "red", "green"]}, ["a", "b", "c", "d"])
+    nom = apply_scaling(t, {"color": ScaleSpec("color", "nominal")})
+    con = apply_scaling(t, {"color": ScaleSpec("color", "contranominal")})
+    assert con.attributes == ("color:!=:blue", "color:!=:green", "color:!=:red")
+    full = (1 << len(nom.attributes)) - 1
+    assert con.rows == tuple(full & ~row for row in nom.rows)
+
+
 def test_empty_table():
     ctx = apply_scaling(ManyValuedTable((), ()), {})
     assert ctx.objects == () and ctx.attributes == ()
