@@ -157,7 +157,10 @@ def _verify_points(table) -> bool:
         pts = table.column("Pts").values
     except OdskError as exc:
         raise OdskError("--verify-points needs W, D and Pts columns") from exc
-    return all(3 * int(wi) + int(di) == int(pi) for wi, di, pi in zip(w, d, pts))
+    try:
+        return all(3 * int(wi) + int(di) == int(pi) for wi, di, pi in zip(w, d, pts))
+    except ValueError as exc:
+        raise ParseError(f"--verify-points needs integer W, D and Pts: {exc}") from exc
 
 
 def _cmd_dimension(args) -> int:
@@ -410,8 +413,10 @@ def run(argv: list[str]) -> int:
     except BudgetExceeded as exc:
         rep = Report()
         rep.add("error", "budget exceeded")
-        rep.add("lower_bound", exc.lower)
-        rep.add("upper_bound", exc.upper)
+        rep.add("detail", str(exc))
+        for key, bound in (("lower_bound", exc.lower), ("upper_bound", exc.upper)):
+            if bound is not None:
+                rep.add(key, bound)
         rep.emit(getattr(args, "json", False))
         return 3
     except OdskError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, OdskError
 from .fca import ConceptLattice, FormalContext, concepts
-from .order import LinearExtension, Poset, _bits, intersect_linear_orders
+from .order import LinearExtension, Poset, _bits, _transpose, intersect_linear_orders
 
 DEFAULT_BUDGET_MS = 60_000
 
@@ -176,13 +176,9 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
     realizer properly colours this graph, and an odd cycle certifies
     dimension >= 3. Two-colours each component by BFS over bitsets.
     """
-    firsts_below = [0] * len(p)   # bit j iff crit[j][0] <= x
-    seconds_above = [0] * len(p)  # bit j iff x <= crit[j][1]
-    for j, (c, d) in enumerate(crit):
-        for x in _bits(p.up[c]):
-            firsts_below[x] |= 1 << j
-        for x in _bits(p.down[d]):
-            seconds_above[x] |= 1 << j
+    # firsts_below[x] bit j iff crit[j][0] <= x; seconds_above[x] iff x <= crit[j][1]
+    firsts_below = _transpose([p.up[c] for c, _ in crit], len(p))
+    seconds_above = _transpose([p.down[d] for _, d in crit], len(p))
     unseen = (1 << len(crit)) - 1
     while unseen:
         frontier = unseen & -unseen

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConceptBudgetExceeded, OdskError, ParseError, UnknownAttribute
-from .order import Poset, _bits, _check_elements
+from .order import Poset, _bits, _check_elements, _transpose
 
 DEFAULT_CONCEPT_BUDGET = 1_000_000
 
@@ -40,11 +40,7 @@ class FormalContext:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        out = [0] * len(self.attributes)
-        for i, r in enumerate(self.rows):
-            for j in _bits(r):
-                out[j] |= 1 << i
-        return tuple(out)
+        return tuple(_transpose(self.rows, len(self.attributes)))
 
     def has(self, obj: str, attr: str) -> bool:
         return bool(self.rows[self.objects.index(obj)]
@@ -170,21 +166,22 @@ class ConceptLattice:
         return self.extent_index[(1 << len(self.context.objects)) - 1]
 
     def is_chain(self) -> bool:
-        return all(self.leq(i, j) or self.leq(j, i)
-                   for i in range(len(self)) for j in range(i + 1, len(self)))
+        exts = sorted(self.extent_masks, key=lambda e: bin(e).count("1"))
+        return all(a & ~b == 0 for a, b in zip(exts, exts[1:]))
 
     def to_poset(self, labels: Sequence[str] | None = None) -> Poset:
         """Containment order as a Poset; default labels are c0..cN in
         lectic order."""
         n = len(self)
         names = tuple(labels) if labels is not None else tuple(f"c{i}" for i in range(n))
+        # holders[g]: the concepts whose extent holds object g
+        holders = _transpose(self.extent_masks, len(self.context.objects))
         rows = []
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if self.leq(i, j):
-                    mask |= 1 << j
-            rows.append(mask)
+        for e in self.extent_masks:
+            row = (1 << n) - 1
+            for g in _bits(e):
+                row &= holders[g]
+            rows.append(row)
         return Poset(names, tuple(rows))
 
 
@@ -357,10 +354,9 @@ def clarify(ctx: FormalContext) -> ClarifyResult:
     rows = tuple(row_order)
     obj_groups = tuple(tuple(ctx.objects[i] for i in row_groups[r]) for r in row_order)
 
-    mid = FormalContext(objects, ctx.attributes, rows)
     col_groups: dict[int, list[int]] = {}
     col_order: list[int] = []
-    for j, c in enumerate(mid.cols):
+    for j, c in enumerate(_transpose(rows, len(ctx.attributes))):
         if c not in col_groups:
             col_groups[c] = []
             col_order.append(c)
@@ -369,14 +365,8 @@ def clarify(ctx: FormalContext) -> ClarifyResult:
                        for c in col_order)
     att_groups = tuple(tuple(ctx.attributes[j] for j in col_groups[c])
                        for c in col_order)
-    new_rows = []
-    for r in rows:
-        mask = 0
-        for newj, c in enumerate(col_order):
-            if r >> col_groups[c][0] & 1:
-                mask |= 1 << newj
-        new_rows.append(mask)
-    return ClarifyResult(FormalContext(objects, attributes, tuple(new_rows)),
+    new_rows = tuple(_transpose(col_order, len(rows)))
+    return ClarifyResult(FormalContext(objects, attributes, new_rows),
                          obj_groups, att_groups)
 
 

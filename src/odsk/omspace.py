@@ -12,7 +12,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, getcontext
 from typing import Iterable, Sequence
 
 from .errors import EmptyImage, EmptySet, OdskError, ParseError
@@ -53,7 +53,8 @@ class FiniteMetric:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.d[i][j] > self.d[i][k] + self.d[k][j]:
+                    # a difference of two distances cannot overflow; a sum can
+                    if self.d[i][j] - self.d[i][k] > self.d[k][j]:
                         out.append((self.elements[i], self.elements[k], self.elements[j]))
         return out
 
@@ -73,13 +74,18 @@ def _parse_number(text: str) -> Number:
         val = Decimal(t)
     except InvalidOperation as exc:
         raise ParseError(f"bad distance value: {text!r}") from exc
+    if not val.is_finite() or val.adjusted() > getcontext().Emax:
+        raise ParseError(f"distance value not finite or out of range: {text!r}")
     return int(val) if val == val.to_integral_value() and "." not in t and "e" not in t.lower() else val
 
 
 def read_distance_csv(text: str) -> FiniteMetric:
     """Distance matrix CSV with a header row and a name column; the
     reader validates symmetry exactly."""
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:
+        raise ParseError(f"bad distance CSV: {exc}") from exc
     if len(rows) < 2:
         raise ParseError("distance CSV needs a header and at least one row")
     names = tuple(h.strip() for h in rows[0][1:])

@@ -83,20 +83,26 @@ class Relation:
         return Relation(self.elements, self.pairs | extra)
 
 
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Column masks of bitset rows: out[j] bit i set iff rows[i] bit j."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return cols
+
+
 def _strong_components(rows: list[int], n: int) -> list[list[int]]:
-    """Mutual-reachability classes of a transitively closed relation."""
-    seen = [False] * n
+    """Mutual-reachability classes of a reflexive, transitively closed
+    relation, each in index order, ordered by their least member."""
+    cols = _transpose(rows, n)
+    seen = 0
     comps = []
     for i in range(n):
-        if seen[i]:
-            continue
-        comp = [i]
-        seen[i] = True
-        for j in range(i + 1, n):
-            if not seen[j] and (rows[i] >> j & 1) and (rows[j] >> i & 1):
-                comp.append(j)
-                seen[j] = True
-        comps.append(comp)
+        if not seen >> i & 1:
+            comp = rows[i] & cols[i]
+            seen |= comp
+            comps.append(list(_bits(comp)))
     return comps
 
 
@@ -169,11 +175,7 @@ class Poset:
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Column masks: down[j] bit i set iff i <= j."""
-        cols = [0] * len(self)
-        for i, row in enumerate(self.up):
-            for j in _bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return tuple(_transpose(self.up, len(self)))
 
     @cached_property
     def cover_rows(self) -> tuple[int, ...]:
@@ -200,12 +202,9 @@ class Poset:
 
     def incomparable_pairs(self) -> tuple[tuple[str, str], ...]:
         """Unordered incomparable pairs, in element order."""
-        out = []
-        for i in range(len(self)):
-            for j in range(i + 1, len(self)):
-                if not (self.up[i] >> j & 1) and not (self.up[j] >> i & 1):
-                    out.append((self.elements[i], self.elements[j]))
-        return tuple(out)
+        n, e = len(self), self.elements
+        return tuple((e[i], e[j]) for i in range(n)
+                     for j in _bits((1 << n) - (2 << i) & ~(self.up[i] | self.down[i])))
 
     # -- filters and ideals -------------------------------------------
 
@@ -228,45 +227,42 @@ class Poset:
     def width_height(self) -> tuple[int, int]:
         """(max antichain size, max chain size).
 
-        Width by Dilworth: minimum chain cover via maximum bipartite
-        matching on the strict comparability graph, grown by depth-first
-        augmenting paths on an explicit stack, since a path can be as
-        long as the poset. Height by longest path over the cover relation.
+        Width by Dilworth: n minus a maximum matching of the strict
+        comparability graph (left i to right j when i < j), grown by one
+        breadth-first augmenting path per left vertex. Each search keeps
+        the right vertices it has reached as one bitset, so a neighbour
+        row costs one AND, and no path length limits it. The width does
+        not depend on which maximum matching is found. Height by longest
+        path over the cover relation.
         """
         n = len(self)
-        if n == 0:
-            return (0, 0)
         strict = [self.up[i] & ~(1 << i) for i in range(n)]
         match_of = [-1] * n  # right vertex -> matched left vertex
-
-        def augment(root: int) -> bool:
-            visited = [False] * n
-            lefts = [root]  # left vertices on the current path
-            rights: list[int] = []  # rights[k] leads from lefts[k] to lefts[k + 1]
-            untried = [_bits(strict[root])]
-            while untried:
-                for j in untried[-1]:
-                    if not visited[j]:
-                        visited[j] = True
-                        rights.append(j)
+        right_of = [-1] * n  # left vertex -> matched right vertex
+        matching = 0
+        for root in range(n):
+            seen, frontier, reached_from, free = 0, [root], {}, -1
+            while frontier and free < 0:
+                grown = []
+                for i in frontier:
+                    fresh = strict[i] & ~seen
+                    seen |= fresh
+                    for j in _bits(fresh):
+                        reached_from[j] = i
                         if match_of[j] < 0:
-                            for i, r in zip(lefts, rights):
-                                match_of[r] = i
-                            return True
-                        lefts.append(match_of[j])
-                        untried.append(_bits(strict[match_of[j]]))
+                            free = j
+                            break
+                        grown.append(match_of[j])
+                    if free >= 0:
                         break
-                else:
-                    untried.pop()
-                    lefts.pop()
-                    if rights:
-                        rights.pop()
-            return False
-
-        matching = sum(augment(i) for i in range(n))
-        width = n - matching
-        height = len(self.height_levels())
-        return (width, height)
+                frontier = grown
+            if free >= 0:
+                matching += 1
+                j = free
+                while j >= 0:
+                    i = reached_from[j]
+                    match_of[j], right_of[i], j = i, j, right_of[i]
+        return (n - matching, len(self.height_levels()))
 
     def height_levels(self) -> tuple[tuple[str, ...], ...]:
         """Partition into antichain levels by longest chain below."""
@@ -297,24 +293,22 @@ class Poset:
 
     @cached_property
     def _downset_memo(self) -> dict[int, int]:
-        """Extension counts for every reachable down-set (iterative DP)."""
-        n = len(self)
-        memo: dict[int, int] = {0: 1}
-        full = (1 << n) - 1
-        stack = [full]
-        while stack:
-            dset = stack[-1]
-            if dset in memo:
-                stack.pop()
-                continue
-            subs = [dset & ~(1 << i) for i in _bits(dset)
-                    if self.up[i] & dset == 1 << i]
-            missing = [s for s in subs if s not in memo]
-            if missing:
-                stack.extend(missing)
-            else:
-                memo[dset] = sum(memo[s] for s in subs)
-                stack.pop()
+        """Linear-extension count of every down-set D, keyed by its mask.
+
+        A forward DP over the down-sets, one size at a time: each count
+        is added to count(D | i) for every element i minimal outside D,
+        so a layer is complete before it is extended.
+        """
+        full = (1 << len(self)) - 1
+        memo = layer = {0: 1}
+        for _ in range(len(self)):
+            grown: dict[int, int] = {}
+            for dset, count in layer.items():
+                for i in _bits(full & ~dset):
+                    if self.down[i] & ~dset == 1 << i:
+                        grown[dset | 1 << i] = grown.get(dset | 1 << i, 0) + count
+            memo.update(grown)
+            layer = grown
         return memo
 
     def _downset_counts(self, budget: int) -> dict[int, int]:
@@ -501,15 +495,11 @@ class QuasiOrder:
         for cname, comp in zip(names, comps):
             for i in comp:
                 class_of[self.elements[i]] = cname
-        k = len(comps)
-        rows = []
-        for a, ca in enumerate(comps):
-            mask = 0
-            for b, cb in enumerate(comps):
-                if self.rel[ca[0]] >> cb[0] & 1:
-                    mask |= 1 << b
-            rows.append(mask)
-        return Poset(tuple(names), tuple(rows)), class_of
+        # a row holds whole classes: keep the bit of each class's least member
+        class_bit = {comp[0]: 1 << b for b, comp in enumerate(comps)}
+        rows = tuple(sum(class_bit.get(j, 0) for j in _bits(self.rel[comp[0]]))
+                     for comp in comps)
+        return Poset(tuple(names), rows), class_of
 
 
 @dataclass(frozen=True)
@@ -550,32 +540,20 @@ def product_order(s: OrdinalStructure,
     if ties == "quotient":
         return product_quasiorder(s).quotient()
     if ties == "incomparable":
-        rows = []
-        for i in range(n):
-            mask = 1 << i
-            for j in range(n):
-                if j != i and all(
-                        (qo.rel[i] >> j & 1) and not (qo.rel[j] >> i & 1)
-                        for _, qo in s.orders):
-                    mask |= 1 << j
-            rows.append(mask)
-        poset = Poset(s.elements, tuple(rows))
+        strict = [(1 << n) - 1] * n
+        for _, qo in s.orders:
+            cols = _transpose(qo.rel, n)
+            strict = [strict[i] & qo.rel[i] & ~cols[i] for i in range(n)]
+        poset = Poset(s.elements, tuple(row | 1 << i for i, row in enumerate(strict)))
         return poset, {e: e for e in s.elements}
     raise OdskError(f"unknown tie policy: {ties!r}")
 
 
 def pareto_maxima(s: OrdinalStructure) -> frozenset[str]:
     """Elements not strictly dominated in the product of the criteria."""
-    prod = product_quasiorder(s)
-    n = len(s.elements)
-    out = []
-    for i in range(n):
-        dominated = any(
-            (prod.rel[i] >> j & 1) and not (prod.rel[j] >> i & 1)
-            for j in range(n) if j != i)
-        if not dominated:
-            out.append(s.elements[i])
-    return frozenset(out)
+    rel = product_quasiorder(s).rel
+    cols = _transpose(rel, len(rel))
+    return frozenset(e for e, row, col in zip(s.elements, rel, cols) if row & ~col == 0)
 
 
 @dataclass(frozen=True)
@@ -605,13 +583,11 @@ def intersect_linear_orders(orders: Sequence[LinearExtension]) -> Poset:
         if sorted(o.order) != sorted(base):
             raise OdskError("linear orders are over different elements")
     elements = tuple(sorted(base))
-    n = len(elements)
-    positions = [o.position for o in orders]
-    rows = []
-    for i, a in enumerate(elements):
-        mask = 0
-        for j, b in enumerate(elements):
-            if all(pos[a] <= pos[b] for pos in positions):
-                mask |= 1 << j
-        rows.append(mask)
+    index = {e: i for i, e in enumerate(elements)}
+    rows = [(1 << len(elements)) - 1] * len(elements)
+    for o in orders:
+        after = 0  # elements at or after the current one in o
+        for name in reversed(o.order):
+            after |= 1 << index[name]
+            rows[index[name]] &= after
     return Poset(elements, tuple(rows))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .errors import MissingSpec, OdskError, ParseError, UnknownValue, UnsupportedKind
 from .fca import FormalContext
-from .order import OrdinalStructure, QuasiOrder
+from .order import OrdinalStructure, QuasiOrder, _transpose
 
 STANDARD_KINDS = ("nominal", "ordinal", "interordinal", "contranominal")
 SPEC_KINDS = STANDARD_KINDS + ("dichotomic",)
@@ -34,10 +34,13 @@ class Column:
 
 
 def _as_decimal(text: str) -> Decimal | None:
+    """The cell as a number, or None when it is text; NaN has no order,
+    so it counts as text."""
     try:
-        return Decimal(text.strip())
+        value = Decimal(text.strip())
     except InvalidOperation:
         return None
+    return None if value.is_nan() else value
 
 
 def _canon(value: str, numeric: bool) -> str:
@@ -69,8 +72,10 @@ class ManyValuedTable:
 
 def read_table_csv(text: str) -> ManyValuedTable:
     """RFC 4180 CSV; header row, first column holds row names."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}") from exc
     if not rows:
         return ManyValuedTable((), ())
     header = rows[0][1:]
@@ -105,7 +110,7 @@ def read_scaling_spec(text: str) -> dict[str, ScaleSpec]:
     """Parse the JSON spec format {column: {kind, direction?, values?}}."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad scaling spec: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scaling spec must be an object keyed by column")
@@ -114,8 +119,10 @@ def read_scaling_spec(text: str) -> dict[str, ScaleSpec]:
         if not isinstance(body, dict) or "kind" not in body:
             raise ParseError(f"spec for column {col!r} needs a 'kind'")
         values = body.get("values")
-        if values is not None and not isinstance(values, list):
-            raise ParseError(f"'values' for column {col!r} must be a list")
+        if values is not None and not (
+                isinstance(values, list) and all(isinstance(v, str) for v in values)
+                and len(set(values)) == len(values)):
+            raise ParseError(f"'values' for column {col!r} must be a list of distinct strings")
         specs[col] = ScaleSpec(
             column=col,
             kind=body["kind"],
@@ -207,13 +214,7 @@ def _column_attributes(col: Column, spec: ScaleSpec) -> tuple[tuple[str, ...], l
         masks = [sum(1 << i for i, c in enumerate(cells) if (c == v) != negate)
                  for v in order]
 
-    # column-local attribute bit masks -> per-object rows
-    rows = [0] * len(col.values)
-    for j, mask in enumerate(masks):
-        for i in range(len(col.values)):
-            if mask >> i & 1:
-                rows[i] |= 1 << j
-    return tuple(names), rows
+    return tuple(names), _transpose(masks, len(col.values))
 
 
 def apply_scaling(table: ManyValuedTable,

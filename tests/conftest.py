@@ -11,6 +11,8 @@ from hypothesis import settings
 from odsk import FormalContext, Poset
 
 settings.register_profile("ci", derandomize=True, max_examples=60)
+# the input-contract fuzz step in CI: pytest --hypothesis-profile fuzz
+settings.register_profile("fuzz", derandomize=True, max_examples=500)
 settings.load_profile("ci")
 
 

@@ -1,9 +1,10 @@
+import functools
 import json
 
 import pytest
 
 import odsk.cli
-from odsk import ParseError
+from odsk import BudgetExceeded, ParseError, concepts
 from odsk.cli import _read, run
 from odsk.fixtures import fixture_path
 
@@ -230,3 +231,65 @@ def test_malformed_inputs_exit_2(tmp_path, capsys, argv, files):
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["omspace", "distortion", "p.tsv", "d.csv"],
+     {"p.tsv": b"a\tb\n", "d.csv": b",a,b\na,0,Infinity\nb,Infinity,0\n"}),
+    (["omspace", "distortion", "p.tsv", "d.csv"],
+     {"p.tsv": b"a\tb\n", "d.csv": b",a,b\na,0,sNaN\nb,sNaN,0\n"}),
+    (["omspace", "distortion", "p.tsv", "d.csv"],
+     {"p.tsv": b"a\tb\n", "d.csv": b",a,b\na,0,NaN\nb,NaN,0\n"}),
+    (["pareto", BUNDES_CSV, "--spec", "s.json"],
+     {"s.json": b'{"Pts": {"kind": "ordinal", "values": [["x"]]}}'}),
+    (["scale", "t.csv", "--spec", "s.json"],
+     {"t.csv": b",c\nr1,1\nr2,2\nr3,3\n",
+      "s.json": b'{"c": {"kind": "ordinal", "values": ["1", "1", "2", "3"]}}'}),
+    (["scale", "t.csv", "--spec", "s.json"],
+     {"t.csv": b",c\nr1," + b"1" * 200_000 + b"\n", "s.json": b'{"c": {"kind": "ordinal"}}'}),
+    (["dimension", "t.csv", "--spec", "s.json", "--verify-points"],
+     {"t.csv": b"team,W,D,Pts\nA,x,1,4\nB,1,0,3\n", "s.json": b'{"W": {"kind": "ordinal"}}'}),
+], ids=["distance-infinity", "distance-snan", "distance-nan", "spec-nested-values",
+        "spec-repeated-values", "csv-field-too-large", "verify-points-text"])
+def test_reader_crashes_exit_2(tmp_path, capsys, argv, files):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "asymmetric" not in err
+
+
+@pytest.mark.parametrize("command", ["scale", "pareto", "dimension"])
+def test_nan_cells_scale_as_text(tmp_path, capsys, command):
+    table = tmp_path / "t.csv"
+    table.write_text(",c\nr1,1\nr2,sNaN\n", encoding="utf-8")
+    spec = tmp_path / "s.json"
+    spec.write_text('{"c": {"kind": "ordinal"}}', encoding="utf-8")
+    assert run([command, str(table), "--spec", str(spec)]) == 0
+
+
+def test_budget_report_names_the_reason(monkeypatch, capsys):
+    monkeypatch.setattr(odsk.cli, "concepts", functools.partial(concepts, budget=2))
+    assert run(["concepts", REMBRANDT]) == 3
+    assert out_of(capsys) == "error: budget exceeded\ndetail: more than 2 closed sets\n"
+    assert run(["--json", "concepts", REMBRANDT]) == 3
+    assert json.loads(out_of(capsys)) == {"error": "budget exceeded",
+                                          "detail": "more than 2 closed sets"}
+
+
+def test_budget_report_keeps_bounds_when_set(monkeypatch, capsys):
+    def over_budget(poset):
+        raise BudgetExceeded("too many cuts", lower=2, upper=5)
+    monkeypatch.setattr(odsk.cli, "dedekind_macneille", over_budget)
+    assert run(["complete", BUNDES_TSV]) == 3
+    assert out_of(capsys) == ("error: budget exceeded\ndetail: too many cuts\n"
+                              "lower_bound: 2\nupper_bound: 5\n")
+
+
+def test_dimension_budget_report_bytes(tmp_path, capsys):
+    anti = tmp_path / "anti.tsv"
+    anti.write_text("a\nb\nc\n", encoding="utf-8")
+    assert run(["dimension", str(anti), "--max-k", "1"]) == 3
+    assert out_of(capsys) == ("elements: 3\ndimension: unknown\n"
+                              "lower_bound: 2\nupper_bound: 2\n")

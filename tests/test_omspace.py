@@ -271,3 +271,20 @@ def test_decimal_distances_supported():
 def test_distance_csv_more_rows_than_names_is_parse_error():
     with pytest.raises(ParseError):
         read_distance_csv(",a\na,0\nb,1\n")
+
+
+@pytest.mark.parametrize("cell", ["Infinity", "-Infinity", "NaN", "sNaN", "1e1000000"])
+def test_distance_csv_rejects_non_finite_cells(cell):
+    with pytest.raises(ParseError, match=f"not finite or out of range: '{cell}'"):
+        read_distance_csv(f",a,b\na,0,{cell}\nb,{cell},0\n")
+
+
+def test_distance_csv_largest_values_do_not_overflow():
+    big = "9e999999"  # the sum of two of them overflows the decimal context
+    m = read_distance_csv(f",a,b,c\na,0,{big},{big}\nb,{big},0,{big}\nc,{big},{big},0\n")
+    assert m.dist("a", "c") == Decimal(big)
+
+
+def test_distance_csv_malformed_csv_is_parse_error():
+    with pytest.raises(ParseError):
+        read_distance_csv(",a\ra,0\n")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from odsk import (MissingSpec, ScaleSpec, UnknownValue, UnsupportedKind,
@@ -173,3 +175,25 @@ def test_csv_reader():
 def test_spec_values_must_be_a_list():
     with pytest.raises(ParseError):
         read_scaling_spec('{"x": {"kind": "ordinal", "values": 5}}')
+
+
+def test_nan_cells_make_a_text_column():
+    col = Column("c", ("1", "sNaN"))
+    assert not col.numeric
+    ctx = apply_scaling(ManyValuedTable(("r1", "r2"), (col,)),
+                        {"c": ScaleSpec("c", "ordinal")})
+    assert ctx.attributes == ("c:>=:sNaN",)
+    assert ctx.rows == (0, 1)
+
+
+@pytest.mark.parametrize("values", [[["x"]], ["1", "1", "2", "3"], [1, 2]])
+def test_spec_values_must_be_distinct_strings(values):
+    with pytest.raises(ParseError):
+        read_scaling_spec(json.dumps({"c": {"kind": "ordinal", "values": values}}))
+
+
+def test_spec_nested_too_deep_and_bad_csv_are_parse_errors():
+    with pytest.raises(ParseError):
+        read_scaling_spec("[" * 100_000)
+    with pytest.raises(ParseError):
+        read_table_csv("name,c\rx,1\n")
