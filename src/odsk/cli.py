@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from . import factors as factors_mod
@@ -46,7 +47,13 @@ class Report:
                                 for row in value["rows"]]
                 else:
                     doc[key] = value
-            text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+            # json.dumps(doc, indent=2) field by field, because the json
+            # module cannot write a Decimal as a number
+            fields = [f"  {json.dumps(key, ensure_ascii=False)}: " + (
+                str(value) if isinstance(value, Decimal) else
+                json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n  "))
+                for key, value in doc.items()]
+            text = ("{\n" + ",\n".join(fields) + "\n}\n") if fields else "{}\n"
         else:
             lines = []
             for key, value in self.items:
@@ -245,11 +252,8 @@ def _cmd_distortion(args) -> int:
     metric = read_distance_csv(_read(args.distances))
     if sorted(metric.elements) != sorted(poset.elements):
         raise OdskError("distance table and order cover different elements")
-    order = tuple(metric.elements)
-    idx = {e: i for i, e in enumerate(order)}
-    pairs = frozenset(
-        (idx[a], idx[b]) for a in order for b in order if poset.leq(a, b))
-    space = OmSpace(Relation(order, pairs), metric)
+    pairs = ((a, b) for a in poset.elements for b in poset.order_filter([a]))
+    space = OmSpace(Relation.from_named_pairs(metric.elements, pairs), metric)
     res = relational_distortion(space, reflexive_close=args.reflexive_close)
     rep = Report()
     rep.add("distortion", res.value)

@@ -14,8 +14,9 @@ the descent's classes are the realizer there and are not searched
 again. The search starts at a certified lower bound: 3 when the
 conflict graph of the critical pairs (two pairs conflict when they form
 an alternating 2-cycle, so no linear extension reverses both) has an
-odd cycle, else 2. The bound and the search both run under the
-deadline of `order_dimension`.
+odd cycle, else 2. After the width (a width of 1 is a chain, with
+no critical pairs), the critical pairs, the bounds and the search all
+run under the deadline of `order_dimension`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, OdskError
 from .fca import ConceptLattice, FormalContext, concepts
-from .order import LinearExtension, Poset, _bits, _transpose, intersect_linear_orders
+from .order import LinearExtension, Poset, _bits, intersect_linear_orders
 
 DEFAULT_BUDGET_MS = 60_000
 
@@ -62,9 +63,20 @@ def dedekind_macneille(p: Poset) -> Completion:
 # -- critical pairs -------------------------------------------------------
 
 
-def _critical_pair_indices(p: Poset) -> list[tuple[int, int]]:
+class _Timeout(Exception):
+    pass
+
+
+def _check(deadline: float | None):
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
+
+
+def _critical_pair_indices(p: Poset,
+                           deadline: float | None = None) -> list[tuple[int, int]]:
     """From the cover rows: b lies above every lower cover of a, and
-    every upper cover of b lies above a."""
+    every upper cover of b lies above a. The deadline is checked once
+    per a."""
     n = len(p)
     below_a = [(1 << n) - 1] * n  # meet of up(c) over a's lower covers c
     for c in range(n):
@@ -72,6 +84,7 @@ def _critical_pair_indices(p: Poset) -> list[tuple[int, int]]:
             below_a[a] &= p.up[c]
     out = []
     for a in range(n):
+        _check(deadline)
         cand = below_a[a] & ~(p.up[a] | p.down[a])
         out.extend((a, b) for b in _bits(cand)
                    if p.cover_rows[b] & ~p.up[a] == 0)
@@ -101,10 +114,6 @@ class Realizer:
 class DimensionResult:
     dim: int
     realizer: Realizer
-
-
-class _Timeout(Exception):
-    pass
 
 
 def _closure_add(rows: list[int], n: int, u: int, v: int):
@@ -142,9 +151,8 @@ def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int | None,
     c = 0       # the first class to try for crit[len(trail)]
     nodes = 0
     while len(trail) < len(crit):
-        if nodes % 256 == 0 and deadline is not None \
-                and time.monotonic() > deadline:
-            raise _Timeout
+        if nodes % 256 == 0:
+            _check(deadline)
         nodes += 1
         a, b = crit[len(trail)]
         while c < min(len(classes) + 1, cap):
@@ -168,17 +176,26 @@ def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int | None,
     return classes
 
 
-def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
+def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]],
+                        deadline: float | None = None) -> bool:
     """True iff the conflict graph of the critical pairs has an odd cycle.
 
     (a,b) and (c,d) conflict iff c <= b and a <= d: reversing both in one
     linear extension would close the cycle b < a <= d < c <= b. So every
     realizer properly colours this graph, and an odd cycle certifies
-    dimension >= 3. Two-colours each component by BFS over bitsets.
+    dimension >= 3. Two-colours each component by BFS over bitsets. The
+    deadline is checked once per pair, as the tables are built and as
+    the search visits it.
     """
     # firsts_below[x] bit j iff crit[j][0] <= x; seconds_above[x] iff x <= crit[j][1]
-    firsts_below = _transpose([p.up[c] for c, _ in crit], len(p))
-    seconds_above = _transpose([p.down[d] for _, d in crit], len(p))
+    firsts_below = [0] * len(p)
+    seconds_above = [0] * len(p)
+    for j, (a, b) in enumerate(crit):
+        _check(deadline)
+        for x in _bits(p.up[a]):
+            firsts_below[x] |= 1 << j
+        for x in _bits(p.down[b]):
+            seconds_above[x] |= 1 << j
     unseen = (1 << len(crit)) - 1
     while unseen:
         frontier = unseen & -unseen
@@ -188,6 +205,7 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
         while frontier:
             nbrs = 0
             for i in _bits(frontier):
+                _check(deadline)
                 a, b = crit[i]
                 nbrs |= firsts_below[b] & seconds_above[a]
             if nbrs & sides[parity]:
@@ -199,17 +217,22 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
     return False
 
 
-def _bounds(p: Poset, crit: list[tuple[int, int]],
-            deadline: float | None = None) -> tuple[int, int, list[list[int]]]:
-    """(lower, upper, the classes of the uncapped first-fit descent)."""
-    lower = 3 if _odd_conflict_cycle(p, crit) else 2
-    width, _ = p.width_height()
+def _bounds(p: Poset, width: int, deadline: float | None = None
+            ) -> tuple[int, int, list[tuple[int, int]], list[list[int]]]:
+    """(lower, upper, the critical pairs, the classes of the uncapped
+    first-fit descent) of a poset of the given width >= 2. Out of time,
+    raises BudgetExceeded with the bounds proven so far: 2 or the
+    odd-cycle bound, and the width (Dilworth)."""
+    lower = 2
     try:
+        crit = _critical_pair_indices(p, deadline)
+        if _odd_conflict_cycle(p, crit, deadline):
+            lower = 3
         peel = _search_partition(p, crit, None, deadline)
     except _Timeout:
-        raise BudgetExceeded("dimension upper bound timed out",
+        raise BudgetExceeded("dimension bounds timed out",
                              lower=lower, upper=max(lower, width)) from None
-    return lower, max(lower, min(width, len(peel))), peel
+    return lower, max(lower, min(width, len(peel))), crit, peel
 
 
 def dimension_bounds(p: Poset) -> tuple[int, int]:
@@ -221,10 +244,10 @@ def dimension_bounds(p: Poset) -> tuple[int, int]:
     the critical pairs (pairs forming an alternating 2-cycle) has an odd
     cycle, so that no two linear extensions can reverse them all.
     """
-    crit = _critical_pair_indices(p)
-    if not crit:
+    width, _ = p.width_height()
+    if width <= 1:  # a chain has no critical pairs
         return (1, 1)
-    return _bounds(p, crit)[:2]
+    return _bounds(p, width)[:2]
 
 
 def order_dimension(p: Poset, max_k: int | None = None,
@@ -240,11 +263,11 @@ def order_dimension(p: Poset, max_k: int | None = None,
     budget = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
     deadline = time.monotonic() + budget / 1000.0
 
-    crit = _critical_pair_indices(p)
-    if not crit:
+    width, _ = p.width_height()
+    if width <= 1:  # a chain has no critical pairs
         return DimensionResult(1, Realizer((p.greedy_linear_extension(),)))
 
-    lower, upper, peel = _bounds(p, crit, deadline)
+    lower, upper, crit, peel = _bounds(p, width, deadline)
     k_cap = upper if max_k is None else max_k
     for k in range(lower, k_cap + 1):
         try:

@@ -2,8 +2,9 @@
 context-mediated metrics, valuation orders.
 
 Distances are exact numbers (int or Decimal); comparisons never use an
-epsilon. Triangle-inequality violations on load are warnings, not
-errors, because geodesic tables may carry rounding.
+epsilon, and Decimal differences are taken in an unrounded context.
+Triangle-inequality violations on load are warnings, not errors,
+because geodesic tables may carry rounding.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, getcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal,
+                     InvalidOperation, getcontext, localcontext)
+from itertools import chain, repeat
+from operator import gt, sub
 from typing import Iterable, Sequence
 
 from .errors import EmptyImage, EmptySet, OdskError, ParseError
@@ -20,6 +24,21 @@ from .fca import FormalContext
 from .order import Poset, QuasiOrder, Relation, _bits, _check_elements
 
 Number = int | Decimal
+
+
+def _exact():
+    """A local Decimal context that never rounds. `FiniteMetric` holds
+    only distances that `_out_of_range` accepts, so an exact difference
+    of two of them has at most about two million digits."""
+    return localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN))
+
+
+def _out_of_range(v: Number) -> bool:
+    """A Decimal that is not finite, or whose adjusted exponent lies
+    outside the current context's exponent range."""
+    ctx = getcontext()
+    return isinstance(v, Decimal) and not (
+        v.is_finite() and ctx.Emin <= v.adjusted() <= ctx.Emax)
 
 
 @dataclass(frozen=True)
@@ -34,6 +53,8 @@ class FiniteMetric:
         n = len(self.elements)
         if len(self.d) != n or any(len(row) != n for row in self.d):
             raise OdskError("distance table is not square")
+        if any(map(_out_of_range, chain.from_iterable(self.d))):
+            raise OdskError("distance value not finite or out of range")
         for i in range(n):
             if self.d[i][i] != 0:
                 raise OdskError(f"nonzero self-distance at {self.elements[i]}")
@@ -48,14 +69,17 @@ class FiniteMetric:
             break
 
     def triangle_violations(self) -> list[tuple[str, str, str]]:
-        n = len(self.elements)
+        """(x, z, y) for every d(x,y) - d(x,z) > d(z,y), in (x, y, z)
+        index order; each (x, y) tests all z at once along rows x and y
+        (d(z,y) equals d(y,z), and the arithmetic is exact)."""
+        names, d = self.elements, self.d
         out = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    # a difference of two distances cannot overflow; a sum can
-                    if self.d[i][j] - self.d[i][k] > self.d[k][j]:
-                        out.append((self.elements[i], self.elements[k], self.elements[j]))
+        with _exact():
+            for i, row in enumerate(d):
+                for j, dij in enumerate(row):
+                    if any(map(gt, map(sub, repeat(dij), row), d[j])):
+                        out.extend((names[i], names[k], names[j])
+                                   for k in range(len(row)) if dij - row[k] > d[j][k])
         return out
 
     def index(self, name: str) -> int:
@@ -70,11 +94,16 @@ class FiniteMetric:
 
 def _parse_number(text: str) -> Number:
     t = text.strip()
+    if t.isascii() and t.isdigit():
+        try:  # the value and type the Decimal path gives
+            return int(t)
+        except ValueError:  # past int()'s digit limit; Decimal decides
+            pass
     try:
         val = Decimal(t)
     except InvalidOperation as exc:
         raise ParseError(f"bad distance value: {text!r}") from exc
-    if not val.is_finite() or val.adjusted() > getcontext().Emax:
+    if _out_of_range(val):
         raise ParseError(f"distance value not finite or out of range: {text!r}")
     return int(val) if val == val.to_integral_value() and "." not in t and "e" not in t.lower() else val
 
@@ -133,15 +162,32 @@ def hausdorff(metric: FiniteMetric, a: Iterable[str], b: Iterable[str]) -> Numbe
     ib = [metric.index(y) for y in b]
     if not ia or not ib:
         raise EmptySet("hausdorff distance needs nonempty sets")
-    return _hausdorff_indices(metric.d, ia, ib)
+    return _hausdorff_lift(metric.d, [ia, ib])(0, 1)
 
 
-def _hausdorff_indices(d: Sequence[Sequence[Number]], ia: list[int],
-                       ib: list[int]) -> Number:
-    """Hausdorff distance between nonempty index lists of table ``d``."""
-    ab = max(min(d[x][y] for y in ib) for x in ia)
-    ba = max(min(d[x][y] for x in ia) for y in ib)
-    return max(ab, ba)
+def _nearest(rows: Sequence[Sequence[Number]], s: list[int]) -> list[Number]:
+    """z -> min(rows[x][z] for x in s), taken over s in its order."""
+    return list(map(min, zip(*map(rows.__getitem__, s))))
+
+
+def _hausdorff_lift(d: Sequence[Sequence[Number]], sets: list[list[int]]):
+    """The Hausdorff distance between sets[a] and sets[b] of table ``d``
+    as a function of (a, b), for nonempty sets[a] and sets[b].
+
+    Per set S it tabulates row_near[S][z] = min(d[z][y] for y in S) and
+    col_near[S][z] = min(d[x][z] for x in S) once. Then H(A, B) is
+    max(max(row_near[B][x] for x in A), max(col_near[A][y] for y in B)):
+    the minima and maxima of the directed sup-inf formula over the same
+    elements in the same order, so the same int or Decimal objects.
+    """
+    cols = tuple(zip(*d))
+    row_near = [_nearest(cols, s) for s in sets]
+    col_near = [_nearest(d, s) for s in sets]
+
+    def h(a: int, b: int) -> Number:
+        return max(max(map(row_near[b].__getitem__, sets[a])),
+                   max(map(col_near[a].__getitem__, sets[b])))
+    return h
 
 
 @dataclass(frozen=True)
@@ -163,16 +209,17 @@ def relational_distortion(space: OmSpace, reflexive_close: bool = False) -> Dist
     empty = tuple(space.elements[i] for i in range(n) if rows[i] == 0)
     if empty:
         raise EmptyImage(empty)
-    images = [[j for j in _bits(rows[i])] for i in range(n)]
     d = space.metric.d
+    h = _hausdorff_lift(d, [list(_bits(row)) for row in rows])
     best: Number = 0
     witness = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(d[i][j] - _hausdorff_indices(d, images[i], images[j]))
-            if witness is None or gap > best:
-                best = gap
-                witness = (space.elements[i], space.elements[j])
+    with _exact():
+        for i in range(n):
+            for j in range(i + 1, n):
+                gap = abs(d[i][j] - h(i, j))
+                if witness is None or gap > best:
+                    best = gap
+                    witness = (space.elements[i], space.elements[j])
     return DistortionResult(best, witness)
 
 
@@ -196,18 +243,18 @@ def mediated_metric(ctx: FormalContext, d_g: FiniteMetric) -> MediatedMetric:
     pos = {name: k for k, name in enumerate(d_g.elements)}
     metric_index = [pos[g] for g in ctx.objects]
     cols = ctx.cols
-    extents = [[metric_index[i] for i in _bits(col)] for col in cols]
+    h = _hausdorff_lift(d_g.d, [[metric_index[i] for i in _bits(col)] for col in cols])
     empty = tuple(m for m, col in zip(ctx.attributes, cols) if not col)
     table = []
-    for ci, ei in zip(cols, extents):
+    for a, ci in enumerate(cols):
         row: list[Number | None] = []
-        for cj, ej in zip(cols, extents):
+        for b, cj in enumerate(cols):
             if not ci or not cj:
                 row.append(None)
             elif ci == cj:
                 row.append(0)
             else:
-                row.append(_hausdorff_indices(d_g.d, ei, ej))
+                row.append(h(a, b))
         table.append(tuple(row))
     return MediatedMetric(ctx.attributes, tuple(table), empty)
 

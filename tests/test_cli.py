@@ -1,5 +1,7 @@
 import functools
 import json
+import os
+from decimal import Decimal
 
 import pytest
 
@@ -142,6 +144,28 @@ def test_omspace_distortion(tmp_path, capsys):
     dist.write_text(",a,b\na,0,1\nb,1,0\n", encoding="utf-8")
     assert run(["omspace", "distortion", str(poset), str(dist)]) == 0
     assert "distortion: 0" in out_of(capsys)
+
+
+def test_json_writes_decimals_as_numbers(tmp_path, capsys):
+    poset = tmp_path / "p.tsv"
+    poset.write_text("a\tc\nb\tc\n", encoding="utf-8")
+    dist = tmp_path / "d.csv"
+    dist.write_text(",a,b,c\na,0,1.5,1\nb,1.5,0,0.75\nc,1,0.75,0\n", encoding="utf-8")
+    assert run(["--json", "omspace", "distortion", str(poset), str(dist)]) == 0
+    # images {a,c} and {b,c} lie at Hausdorff distance 1 against d(a,b) = 1.5
+    assert out_of(capsys) == '{\n  "distortion": 0.5,\n  "witness": "a,b"\n}\n'
+
+
+def test_json_report_bytes_are_json_dumps():
+    rep = odsk.cli.Report()
+    rep.add("count", 3)
+    rep.add("name", "Mü\t\"x\"")
+    rep.add_table("rows", ["a", "b"], [[1, "ß"], [Decimal("2.50"), None]])
+    rep.add_table("empty", ["a"], [])
+    doc = {"count": 3, "name": "Mü\t\"x\"",
+           "rows": [{"a": "1", "b": "ß"}, {"a": "2.50", "b": "None"}], "empty": []}
+    assert rep.emit(True, os.devnull) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    assert odsk.cli.Report().emit(True, os.devnull) == "{}\n"
 
 
 def test_draw_svg_and_dot(tmp_path, capsys):

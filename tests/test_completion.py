@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -381,3 +382,18 @@ def test_bound_peel_runs_under_the_deadline(monkeypatch):
         order_dimension(fence(200), budget_ms=0)
     assert (exc.value.lower, exc.value.upper) == (2, 200)  # upper: the width
     assert calls == []
+
+
+def test_bounds_run_under_the_deadline():
+    # 159,203 critical pairs: the unbudgeted odd-cycle test took 3.7 s here
+    p = fence(400)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded) as exc:
+        order_dimension(p, budget_ms=1000)
+    assert time.monotonic() - start < 2.0
+    assert (exc.value.lower, exc.value.upper) == (2, 400)  # upper: the width
+    crit = completion._critical_pair_indices(p)
+    for step in (lambda deadline: completion._critical_pair_indices(p, deadline),
+                 lambda deadline: completion._odd_conflict_cycle(p, crit, deadline)):
+        with pytest.raises(completion._Timeout):
+            step(time.monotonic())

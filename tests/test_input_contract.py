@@ -98,8 +98,19 @@ def test_read_scaling_spec_total(text):
 # -- the CLI ------------------------------------------------------------------
 
 CITIES = fixture_text("airlines_dist.csv").splitlines()[0].split(",")[1:]
+
+
+def _halves(text: str) -> str:
+    """A distance CSV with a half added to every nonzero distance."""
+    head, *rows = text.splitlines()
+    return "".join(f"{line}\n" for line in [head] + [
+        ",".join(c if k == 0 or c == "0" else f"{c}.5" for k, c in enumerate(row.split(",")))
+        for row in rows])
+
+
 # a chain over the airline cities, to pair with their distances
-EXTRA = {"airlines_chain.tsv": "".join(f"{a}\t{b}\n" for a, b in zip(CITIES, CITIES[1:]))}
+EXTRA = {"airlines_chain.tsv": "".join(f"{a}\t{b}\n" for a, b in zip(CITIES, CITIES[1:])),
+         "airlines_dist_halves.csv": _halves(fixture_text("airlines_dist.csv"))}
 
 # argv with {0}, {1}, ... for the input files, and the files' names
 COMMANDS = [
@@ -122,6 +133,10 @@ COMMANDS = [
     (["omspace", "distortion", "{0}", "{1}", "--reflexive-close"],
      ["airlines_chain.tsv", "airlines_dist.csv"]),
 ]
+# every form again with --json, then the omspace forms on Decimal distances
+COMMANDS += [(["--json"] + argv, files) for argv, files in COMMANDS if "--json" not in argv]
+COMMANDS += [(argv, [files[0], "airlines_dist_halves.csv"])
+             for argv, files in COMMANDS if "omspace" in argv]
 
 
 def _original(name: str) -> bytes:

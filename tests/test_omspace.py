@@ -7,7 +7,7 @@ import pytest
 from odsk import (EmptyImage, EmptySet, FiniteMetric, FormalContext, OmSpace,
                   Poset, Relation, disagreement, hausdorff, mediated_metric,
                   read_distance_csv, relational_distortion, valuation_order)
-from odsk import ParseError
+from odsk import OdskError, ParseError
 from odsk.omspace import write_distance_csv
 from odsk.fixtures import airlines, airlines_distances
 
@@ -273,10 +273,18 @@ def test_distance_csv_more_rows_than_names_is_parse_error():
         read_distance_csv(",a\na,0\nb,1\n")
 
 
-@pytest.mark.parametrize("cell", ["Infinity", "-Infinity", "NaN", "sNaN", "1e1000000"])
+@pytest.mark.parametrize("cell", ["Infinity", "-Infinity", "NaN", "sNaN", "1e1000000",
+                                  "1e-1000000", "0e-99999999"])
 def test_distance_csv_rejects_non_finite_cells(cell):
     with pytest.raises(ParseError, match=f"not finite or out of range: '{cell}'"):
         read_distance_csv(f",a,b\na,0,{cell}\nb,{cell},0\n")
+
+
+@pytest.mark.parametrize("value", ["NaN", "sNaN", "Infinity", "1e-1000000", "1e1000000"])
+def test_metric_rejects_distances_that_exact_arithmetic_cannot_bound(value):
+    v = Decimal(value)
+    with pytest.raises(OdskError, match="not finite or out of range"):
+        FiniteMetric(("a", "b"), ((0, v), (v, 0)))
 
 
 def test_distance_csv_largest_values_do_not_overflow():
@@ -288,3 +296,167 @@ def test_distance_csv_largest_values_do_not_overflow():
 def test_distance_csv_malformed_csv_is_parse_error():
     with pytest.raises(ParseError):
         read_distance_csv(",a\ra,0\n")
+
+
+# -- exact Decimal comparisons ---------------------------------------------
+
+
+def test_triangle_check_and_gaps_do_not_round_decimals():
+    one, long, tiny = Decimal(1), Decimal("1.0000000000000000000000000001"), \
+        Decimal("0.0000000000000000000000000001")
+    half, near = Decimal("5E-29"), Decimal("1.99999999999999999999999999995")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a false violation would warn
+        m = FiniteMetric(("a", "b", "c"), ((0, one, long), (one, 0, tiny), (long, tiny, 0)))
+        # d(a,b) = d(a,c) + d(c,b) exactly; at 28 digits 2 - 5E-29 rounds to 2
+        tight = FiniteMetric(("a", "b", "c"), ((0, 2, half), (2, 0, near), (half, near, 0)))
+    assert m.triangle_violations() == tight.triangle_violations() == []
+    # every image is the whole set, so each gap is the distance itself
+    full = Relation(m.elements, frozenset((i, j) for i in range(3) for j in range(3)))
+    res = relational_distortion(OmSpace(full, m))
+    assert (repr(res.value), res.witness) == (repr(long), ("a", "c"))
+
+
+# -- differential tests against the pairwise kernels -----------------------
+
+
+def _old_hausdorff_indices(d, ia, ib):
+    ab = max(min(d[x][y] for y in ib) for x in ia)
+    ba = max(min(d[x][y] for x in ia) for y in ib)
+    return max(ab, ba)
+
+
+def _old_hausdorff(metric, a, b):
+    ia = [metric.index(x) for x in a]
+    ib = [metric.index(y) for y in b]
+    if not ia or not ib:
+        raise EmptySet("hausdorff distance needs nonempty sets")
+    return _old_hausdorff_indices(metric.d, ia, ib)
+
+
+def _old_relational_distortion(space, reflexive_close=False):
+    from odsk.omspace import DistortionResult
+    from odsk.order import _bits
+    rel = space.relation.reflexive_closure() if reflexive_close else space.relation
+    n = len(space.elements)
+    rows = rel.rows()
+    empty = tuple(space.elements[i] for i in range(n) if rows[i] == 0)
+    if empty:
+        raise EmptyImage(empty)
+    images = [[j for j in _bits(rows[i])] for i in range(n)]
+    d = space.metric.d
+    best = 0
+    witness = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = abs(d[i][j] - _old_hausdorff_indices(d, images[i], images[j]))
+            if witness is None or gap > best:
+                best = gap
+                witness = (space.elements[i], space.elements[j])
+    return DistortionResult(best, witness)
+
+
+def _old_mediated_metric(ctx, d_g):
+    from odsk.omspace import MediatedMetric
+    from odsk.order import _bits
+    pos = {name: k for k, name in enumerate(d_g.elements)}
+    metric_index = [pos[g] for g in ctx.objects]
+    cols = ctx.cols
+    extents = [[metric_index[i] for i in _bits(col)] for col in cols]
+    empty = tuple(m for m, col in zip(ctx.attributes, cols) if not col)
+    table = []
+    for ci, ei in zip(cols, extents):
+        row = []
+        for cj, ej in zip(cols, extents):
+            if not ci or not cj:
+                row.append(None)
+            elif ci == cj:
+                row.append(0)
+            else:
+                row.append(_old_hausdorff_indices(d_g.d, ei, ej))
+        table.append(tuple(row))
+    return MediatedMetric(ctx.attributes, tuple(table), empty)
+
+
+def _old_triangle_violations(metric):
+    n = len(metric.elements)
+    return [(metric.elements[i], metric.elements[k], metric.elements[j])
+            for i in range(n) for j in range(n) for k in range(n)
+            if metric.d[i][j] - metric.d[i][k] > metric.d[k][j]]
+
+
+def _old_parse_number(text):
+    from decimal import InvalidOperation, getcontext
+    t = text.strip()
+    try:
+        val = Decimal(t)
+    except InvalidOperation as exc:
+        raise ParseError(f"bad distance value: {text!r}") from exc
+    if not val.is_finite() or val.adjusted() > getcontext().Emax:
+        raise ParseError(f"distance value not finite or out of range: {text!r}")
+    return int(val) if val == val.to_integral_value() and "." not in t and "e" not in t.lower() else val
+
+
+def _outcome(f, *args):
+    """repr of the result, or the error, so that types must match too."""
+    try:
+        return repr(f(*args))
+    except OdskError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cell(rng, v, decimal):
+    """One spelling of the value v: int, or a Decimal with 0-2 trailing
+    zeros, so that mirrored cells such as 5 and 5.0 differ as objects."""
+    if not decimal or rng.random() < 0.3:
+        return v
+    return Decimal(v).quantize(Decimal(1).scaleb(-rng.randint(0, 2)))
+
+
+def _random_table_metric(rng, n, decimal):
+    """A symmetric table with small values (triangle violations and ties
+    included); Decimal tables mix spellings and halves."""
+    vals = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            vals[i][j] = vals[j][i] = rng.choice((1, 2, 3, 5, Decimal("2.5"))
+                                                 if decimal else (1, 2, 3, 5))
+    d = tuple(tuple(v if isinstance(v, Decimal) else _cell(rng, v, decimal) for v in row)
+              for row in vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return FiniteMetric(tuple(f"x{i}" for i in range(n)), d)
+
+
+@pytest.mark.parametrize("decimal", [False, True], ids=["int", "decimal"])
+def test_kernels_match_the_pairwise_versions(decimal):
+    rng = __import__("random").Random(11 + decimal)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = _random_table_metric(rng, n, decimal)
+        assert m.triangle_violations() == _old_triangle_violations(m)
+        names = m.elements
+        a = rng.sample(names, rng.randint(0, n))
+        b = [rng.choice(names) for _ in range(rng.randint(0, n))]  # repeats too
+        assert _outcome(hausdorff, m, a, b) == _outcome(_old_hausdorff, m, a, b)
+        rel = Relation(names, frozenset((i, j) for i in range(n) for j in range(n)
+                                        if rng.random() < 0.4))
+        for close in (False, True):
+            space = OmSpace(rel, m)
+            assert _outcome(relational_distortion, space, close) == \
+                _outcome(_old_relational_distortion, space, close)
+        order = list(names)
+        rng.shuffle(order)  # the context lists the objects in another order
+        ctx = FormalContext(tuple(order), tuple(f"m{j}" for j in range(5)),
+                            tuple(rng.getrandbits(5) & rng.getrandbits(5) for _ in range(n)))
+        assert _outcome(mediated_metric, ctx, m) == _outcome(_old_mediated_metric, ctx, m)
+
+
+def test_parse_number_matches_the_decimal_path():
+    from odsk.omspace import _parse_number
+    cells = ["0", "7", "007", " 12 ", "5.0", "5.00", "1e3", "1E3", "-1", "+4", "2.5",
+             "0.0", "1_000", "٣", "²", "", "x", "9" * 30, "0e-5"]
+    for cell in cells:
+        assert _outcome(_parse_number, cell) == _outcome(_old_parse_number, cell)
+    big = "1" * 5000  # past int()'s default digit limit, and repr's
+    assert type(_parse_number(big)) is int and _parse_number(big) == _old_parse_number(big)
