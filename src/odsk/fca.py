@@ -1,11 +1,10 @@
 """Formal concept analysis: contexts, concept lattices, implications,
 Guttman/Ferrers recognition, and the Burmeister CXT file format.
 
-One NextClosure enumerator, ``_next_closure``, lists the closed sets of
-a closure operator in lectic order. ``concepts`` runs it on intents (on
-extents when there are more attributes than objects, then sorts by
-intent); ``canonical_base`` runs it on the closure under the
-implications found so far.
+``concepts`` builds the closed sets of the smaller side as intersections
+of its generators (Ganter & Wille 1999) and sorts them lectically by
+intent. Pseudo-intents are not closed under intersection, so
+``canonical_base`` lists them with NextClosure, ``_next_closure``.
 """
 
 from __future__ import annotations
@@ -169,11 +168,9 @@ class ConceptLattice:
         exts = sorted(self.extent_masks, key=lambda e: bin(e).count("1"))
         return all(a & ~b == 0 for a, b in zip(exts, exts[1:]))
 
-    def to_poset(self, labels: Sequence[str] | None = None) -> Poset:
-        """Containment order as a Poset; default labels are c0..cN in
-        lectic order."""
+    def to_poset(self) -> Poset:
+        """Containment order as a Poset on c0..cN, in lectic order."""
         n = len(self)
-        names = tuple(labels) if labels is not None else tuple(f"c{i}" for i in range(n))
         # holders[g]: the concepts whose extent holds object g
         holders = _transpose(self.extent_masks, len(self.context.objects))
         rows = []
@@ -182,24 +179,27 @@ class ConceptLattice:
             for g in _bits(e):
                 row &= holders[g]
             rows.append(row)
-        return Poset(names, tuple(rows))
+        return Poset(tuple(f"c{i}" for i in range(n)), tuple(rows))
 
 
 def concepts(ctx: FormalContext, budget: int = DEFAULT_CONCEPT_BUDGET) -> ConceptLattice:
-    """Enumerate all formal concepts, emitted in lectic order of intents."""
+    """Enumerate all formal concepts, emitted in lectic order of intents.
+    Extents are the object set and all intersections of columns, intents
+    likewise of rows: one pass over the smaller side builds them. Raises
+    ConceptBudgetExceeded once more than ``budget`` closed sets exist."""
     m, n = len(ctx.attributes), len(ctx.objects)
-    if m <= n or n == 0:
-        intents = list(_next_closure(
-            m, lambda b: ctx._intent_of(ctx._extent_of(b)), budget))
-        extents = [ctx._extent_of(b) for b in intents]
-    else:
-        extents = list(_next_closure(
-            n, lambda e: ctx._extent_of(ctx._intent_of(e)), budget))
-        pairs = sorted(((ctx._intent_of(e), e) for e in extents),
-                       key=lambda p: _lectic_key(p[0], m))
-        intents = [b for b, _ in pairs]
-        extents = [e for _, e in pairs]
-    return ConceptLattice(ctx, tuple(extents), tuple(intents))
+    gens, full = (ctx.cols, (1 << n) - 1) if m <= n else (ctx.rows, (1 << m) - 1)
+    closed = {full}
+    for x in gens:
+        closed |= {c & x for c in closed}
+        if len(closed) > budget:
+            break
+    if len(closed) > budget:
+        raise ConceptBudgetExceeded(f"more than {budget} closed sets")
+    pairs = ([(ctx._intent_of(e), e) for e in closed] if m <= n
+             else [(b, ctx._extent_of(b)) for b in closed])
+    pairs.sort(key=lambda p: _lectic_key(p[0], m))
+    return ConceptLattice(ctx, tuple(e for _, e in pairs), tuple(b for b, _ in pairs))
 
 
 # -- implications ------------------------------------------------------

@@ -70,17 +70,20 @@ class FiniteMetric:
 
     def triangle_violations(self) -> list[tuple[str, str, str]]:
         """(x, z, y) for every d(x,y) - d(x,z) > d(z,y), in (x, y, z)
-        index order; each (x, y) tests all z at once along rows x and y
-        (d(z,y) equals d(y,z), and the arithmetic is exact)."""
+        index order. The table is symmetric and the arithmetic exact, so
+        (x, y) and (y, x) fail for the same z: each pair i < j tests all
+        z at once along rows i and j, and lists both orientations."""
         names, d = self.elements, self.d
-        out = []
+        hits = []
         with _exact():
             for i, row in enumerate(d):
-                for j, dij in enumerate(row):
+                for j in range(i + 1, len(row)):
+                    dij = row[j]
                     if any(map(gt, map(sub, repeat(dij), row), d[j])):
-                        out.extend((names[i], names[k], names[j])
-                                   for k in range(len(row)) if dij - row[k] > d[j][k])
-        return out
+                        ks = [k for k in range(len(row)) if dij - row[k] > d[j][k]]
+                        hits += [(i, j, ks), (j, i, ks)]
+        hits.sort()  # (x, y) is unique, so ks is never compared
+        return [(names[x], names[k], names[y]) for x, y, ks in hits for k in ks]
 
     def index(self, name: str) -> int:
         try:

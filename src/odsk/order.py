@@ -324,51 +324,29 @@ class Poset:
             return 1
         return self._downset_counts(budget)[(1 << len(self)) - 1]
 
-    def sample_linear_extension(self, seed: int = 0, method: str = "exact",
-                                steps: int | None = None,
+    def sample_linear_extension(self, seed: int = 0,
                                 budget: int = DEFAULT_COUNT_BUDGET) -> "LinearExtension":
-        """Sample a linear extension, deterministic for a given seed.
-
-        ``exact`` draws uniformly using the down-set counting DP.
-        ``mcmc`` runs an adjacent-transposition chain from the greedy
-        extension; default step count is 50*n^3.
-        """
+        """Sample a linear extension uniformly with the down-set counting
+        DP, deterministic for a given seed."""
         n = len(self)
         if n == 0:
             return LinearExtension(())
         rng = random.Random(seed)
-        if method == "exact":
-            memo = self._downset_counts(budget)
-            dset = (1 << n) - 1
-            rev: list[str] = []
-            while dset:
-                maxima = [i for i in _bits(dset) if self.up[i] & dset == 1 << i]
-                weights = [memo[dset & ~(1 << i)] for i in maxima]
-                total = sum(weights)
-                pick = rng.randrange(total)
-                for i, w in zip(maxima, weights):
-                    if pick < w:
-                        rev.append(self.elements[i])
-                        dset &= ~(1 << i)
-                        break
-                    pick -= w
-            return LinearExtension(tuple(reversed(rev)))
-        if method == "mcmc":
-            if steps is None:
-                steps = 50 * n ** 3
-            if steps < 1:
-                raise OdskError("mcmc needs steps >= 1")
-            seq = list(self.greedy_linear_extension().order)
-            if n == 1:
-                return LinearExtension(tuple(seq))
-            idx = [self.index(x) for x in seq]
-            for _ in range(steps):
-                k = rng.randrange(n - 1)
-                a, b = idx[k], idx[k + 1]
-                if not (self.up[a] >> b & 1):  # incomparable (a<b impossible here)
-                    idx[k], idx[k + 1] = b, a
-            return LinearExtension(tuple(self.elements[i] for i in idx))
-        raise OdskError(f"unknown sampling method: {method!r}")
+        memo = self._downset_counts(budget)
+        dset = (1 << n) - 1
+        rev: list[str] = []
+        while dset:
+            maxima = [i for i in _bits(dset) if self.up[i] & dset == 1 << i]
+            weights = [memo[dset & ~(1 << i)] for i in maxima]
+            total = sum(weights)
+            pick = rng.randrange(total)
+            for i, w in zip(maxima, weights):
+                if pick < w:
+                    rev.append(self.elements[i])
+                    dset &= ~(1 << i)
+                    break
+                pick -= w
+        return LinearExtension(tuple(reversed(rev)))
 
     def greedy_linear_extension(self) -> "LinearExtension":
         """Deterministic extension: repeatedly take the lexicographically

@@ -1,15 +1,16 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from odsk import (ConceptBudgetExceeded, FormalContext, Implication,
                   UnknownAttribute, canonical_base, clarify, concepts, entails,
                   holds, is_guttman, read_cxt, write_cxt)
 from odsk import ParseError
-from odsk.fca import implication_closure
+from odsk.fca import _next_closure, implication_closure
 from odsk.fixtures import airlines, fixture_text, rembrandt, socialnet
 
-from conftest import random_context
+from conftest import random_context, random_poset
 
 
 def contranominal(n: int) -> FormalContext:
@@ -128,8 +129,10 @@ def test_lattice_join_and_top_unique(rng):
 
 
 def test_concepts_budget_boundary(rng):
-    # the last context is wide, so NextClosure runs on extents
-    for ctx in (rembrandt(), contranominal(4), random_context(rng, 3, 7)):
+    # random_context(rng, 3, 7) is wide, so the pass runs over its rows;
+    # the last two contexts have no generator, only the full set
+    for ctx in (rembrandt(), contranominal(4), random_context(rng, 3, 7),
+                random_context(rng, 2, 0), random_context(rng, 0, 3)):
         n = len(concepts(ctx))
         assert len(concepts(ctx, budget=n)) == n
         with pytest.raises(ConceptBudgetExceeded):
@@ -146,7 +149,7 @@ def test_lectic_order_strictly_increasing(rng):
 
 
 def test_transposed_orientation_same_concepts():
-    # wide context forces the internal transpose path
+    # a wide context is built from its rows, as intersections of intents
     ctx = random_context(__import__("random").Random(5), 3, 7)
     lat = concepts(ctx)
     brute = brute_intents(ctx)
@@ -154,6 +157,43 @@ def test_transposed_orientation_same_concepts():
     from odsk.fca import _lectic_key
     keys = [_lectic_key(b, 7) for b in lat.intent_masks]
     assert keys == sorted(keys)
+
+
+@st.composite
+def contexts(draw, wide: bool) -> FormalContext:
+    """0-9 objects and attributes, with more attributes than objects
+    when ``wide``."""
+    small = draw(st.integers(0, 8 if wide else 9))
+    large = draw(st.integers(small + 1 if wide else small, 9))
+    n_obj, n_att = (small, large) if wide else (large, small)
+    rows = draw(st.lists(st.integers(0, (1 << n_att) - 1), min_size=n_obj, max_size=n_obj))
+    return FormalContext(tuple(f"g{i}" for i in range(n_obj)),
+                         tuple(f"m{j}" for j in range(n_att)), tuple(rows))
+
+
+def next_closure_masks(ctx: FormalContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Extent and intent masks from NextClosure on intents, the
+    enumerator canonical_base keeps."""
+    intents = tuple(_next_closure(len(ctx.attributes),
+                                  lambda b: ctx._intent_of(ctx._extent_of(b)), 10 ** 6))
+    return tuple(map(ctx._extent_of, intents)), intents
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+@given(data=st.data())
+def test_concepts_match_next_closure(wide, data):
+    ctx = data.draw(contexts(wide))
+    lat = concepts(ctx)
+    assert (lat.extent_masks, lat.intent_masks) == next_closure_masks(ctx)
+
+
+def test_concepts_match_next_closure_on_dm_contexts(rng):
+    # (P, P, <=), the context dedekind_macneille completes
+    for _ in range(200):
+        p = random_poset(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6)))
+        ctx = FormalContext(p.elements, p.elements, p.up)
+        lat = concepts(ctx)
+        assert (lat.extent_masks, lat.intent_masks) == next_closure_masks(ctx)
 
 
 # -- implications ----------------------------------------------------------

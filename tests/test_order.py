@@ -249,17 +249,7 @@ def test_samples_are_linear_extensions(rng):
     for _ in range(10):
         p = random_poset(rng, rng.randint(1, 7))
         for s in range(5):
-            exact = p.sample_linear_extension(seed=s)
-            assert p.is_linear_extension(exact)
-            chain = p.sample_linear_extension(seed=s, method="mcmc", steps=200)
-            assert p.is_linear_extension(chain)
-
-
-def test_mcmc_deterministic_given_seed():
-    p = Poset.antichain("abcd")
-    a = p.sample_linear_extension(seed=3, method="mcmc", steps=500)
-    b = p.sample_linear_extension(seed=3, method="mcmc", steps=500)
-    assert a == b
+            assert p.is_linear_extension(p.sample_linear_extension(seed=s))
 
 
 # -- intersection / linear extension checks ---------------------------------
