@@ -3,6 +3,7 @@
 Output is line-oriented "key: value" text with TSV blocks for tables;
 --json emits the same data as one JSON document. Exit codes: 0 success,
 1 usage, 2 input parse/validation, 3 budget exceeded (bounds printed).
+Each subcommand imports the modules it uses when it runs.
 """
 
 from __future__ import annotations
@@ -13,17 +14,8 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from . import factors as factors_mod
-from .completion import dedekind_macneille, order_dimension
+from . import __getattr__  # odsk.cli.concepts and the like: the package's names
 from .errors import BudgetExceeded, OdskError, ParseError
-from .fca import (FormalContext, canonical_base, concepts, is_guttman, read_cxt,
-                  write_cxt)
-from .layout import dimdraw, layered, quality, render
-from .omspace import (OmSpace, mediated_metric, read_distance_csv,
-                      relational_distortion)
-from .order import Relation, pareto_maxima, poset_from_tsv, product_order
-from .scaling import (apply_scaling, read_scaling_spec, read_table_csv,
-                      to_ordinal_structure)
 
 
 class Report:
@@ -81,27 +73,30 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
 
-def _load_context(path: str) -> FormalContext:
+def _load_context(path: str):
+    from .fca import read_cxt
     return read_cxt(_read(path))
 
 
 def _load_poset_arg(path: str, spec: str | None, no_quotient: bool):
     """A poset from an edge-list .tsv, or from a .csv plus scaling spec
     (the domination order of the ordinal columns)."""
+    from .order import poset_from_tsv, product_order
     if path.endswith(".csv"):
         if not spec:
             raise OdskError("a .csv input needs --spec for the domination order")
+        from .scaling import read_scaling_spec, read_table_csv, to_ordinal_structure
         table = read_table_csv(_read(path))
         specs = read_scaling_spec(_read(spec))
         structure = to_ordinal_structure(table.select(list(specs)), specs)
-        poset, classes = product_order(
-            structure, ties="incomparable" if no_quotient else "quotient")
-        return poset, classes
+        return product_order(structure,
+                             ties="incomparable" if no_quotient else "quotient")
     poset = poset_from_tsv(_read(path))
     return poset, {e: e for e in poset.elements}
 
 
 def _cmd_concepts(args) -> int:
+    from .fca import concepts
     ctx = _load_context(args.context)
     lat = concepts(ctx)
     rep = Report()
@@ -116,6 +111,7 @@ def _cmd_concepts(args) -> int:
 
 
 def _cmd_implications(args) -> int:
+    from .fca import canonical_base
     ctx = _load_context(args.context)
     base = canonical_base(ctx)
     rep = Report()
@@ -128,6 +124,7 @@ def _cmd_implications(args) -> int:
 
 
 def _cmd_guttman(args) -> int:
+    from .fca import is_guttman
     ctx = _load_context(args.context)
     res = is_guttman(ctx)
     rep = Report()
@@ -142,6 +139,7 @@ def _cmd_guttman(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    from .completion import dedekind_macneille
     poset, _ = _load_poset_arg(args.poset, None, False)
     comp = dedekind_macneille(poset)
     rep = Report()
@@ -171,11 +169,13 @@ def _verify_points(table) -> bool:
 
 
 def _cmd_dimension(args) -> int:
+    from .completion import order_dimension
     poset, classes = _load_poset_arg(args.poset, args.spec, args.no_quotient)
     rep = Report()
     if args.verify_points:
         if not args.poset.endswith(".csv"):
             raise OdskError("--verify-points needs a .csv table input")
+        from .scaling import read_table_csv
         rep.add("points_verified",
                 str(_verify_points(read_table_csv(_read(args.poset)))).lower())
     rep.add("elements", len(poset))
@@ -198,6 +198,8 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
+    from .order import pareto_maxima
+    from .scaling import read_scaling_spec, read_table_csv, to_ordinal_structure
     table = read_table_csv(_read(args.table))
     specs = read_scaling_spec(_read(args.spec))
     structure = to_ordinal_structure(table.select(list(specs)), specs)
@@ -211,6 +213,8 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    from .fca import write_cxt
+    from .scaling import apply_scaling, read_scaling_spec, read_table_csv
     table = read_table_csv(_read(args.table))
     specs = read_scaling_spec(_read(args.spec))
     scoped = table.select([c.name for c in table.columns if c.name in specs])
@@ -224,8 +228,9 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_factors(args) -> int:
+    from .factors import biplot, ordinal_factorization
     ctx = _load_context(args.context)
-    fz = factors_mod.ordinal_factorization(ctx, args.k)
+    fz = ordinal_factorization(ctx, args.k)
     rep = Report()
     rep.add("factor_count", len(fz.factors))
     for fi, factor in enumerate(fz.factors, 1):
@@ -233,7 +238,7 @@ def _cmd_factors(args) -> int:
                 for li, c in enumerate(factor.chain, 1)]
         rep.add_table(f"factor_{fi}", ["level", "extent", "intent"], rows)
     if len(fz.factors) == 2:
-        bp = factors_mod.biplot(ctx, fz)
+        bp = biplot(ctx, fz)
         for ai, axis in enumerate(bp.axes, 1):
             rep.add_table(f"axis_{ai}_objects", ["object", "coordinate"],
                           [[g, c] for g, c in axis.object_coord])
@@ -248,6 +253,8 @@ def _cmd_factors(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
+    from .omspace import OmSpace, read_distance_csv, relational_distortion
+    from .order import Relation
     poset, _ = _load_poset_arg(args.poset, None, False)
     metric = read_distance_csv(_read(args.distances))
     if sorted(metric.elements) != sorted(poset.elements):
@@ -264,6 +271,7 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_mediate(args) -> int:
+    from .omspace import mediated_metric, read_distance_csv
     ctx = _load_context(args.context)
     metric = read_distance_csv(_read(args.distances))
     med = mediated_metric(ctx, metric)
@@ -293,6 +301,8 @@ def _reduced_labels(lat) -> dict[str, str]:
 
 
 def _cmd_draw(args) -> int:
+    from .fca import concepts
+    from .layout import dimdraw, layered, quality, render
     labels = None
     if args.input.endswith(".cxt"):
         lat = concepts(_load_context(args.input))
@@ -412,8 +422,11 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    import warnings
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # shown as plain "warning: <message>" lines
+            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+            return args.func(args)
     except BudgetExceeded as exc:
         rep = Report()
         rep.add("error", "budget exceeded")

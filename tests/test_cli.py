@@ -6,6 +6,9 @@ from decimal import Decimal
 import pytest
 
 import odsk.cli
+import odsk.completion
+import odsk.fca
+import odsk.layout
 from odsk import BudgetExceeded, ParseError, concepts
 from odsk.cli import _read, run
 from odsk.fixtures import fixture_path
@@ -180,13 +183,13 @@ def test_draw_svg_and_dot(tmp_path, capsys):
 
 def test_draw_quality_only_for_the_report(tmp_path, monkeypatch, capsys):
     calls = []
-    measure = odsk.cli.quality
+    measure = odsk.layout.quality
 
     def counted(drawing):
         calls.append(drawing)
         return measure(drawing)
 
-    monkeypatch.setattr(odsk.cli, "quality", counted)
+    monkeypatch.setattr(odsk.layout, "quality", counted)
     assert run(["draw", BUNDES_TSV, "--algo", "layered"]) == 0
     assert out_of(capsys).startswith("<?xml")
     assert calls == []
@@ -294,7 +297,7 @@ def test_nan_cells_scale_as_text(tmp_path, capsys, command):
 
 
 def test_budget_report_names_the_reason(monkeypatch, capsys):
-    monkeypatch.setattr(odsk.cli, "concepts", functools.partial(concepts, budget=2))
+    monkeypatch.setattr(odsk.fca, "concepts", functools.partial(concepts, budget=2))
     assert run(["concepts", REMBRANDT]) == 3
     assert out_of(capsys) == "error: budget exceeded\ndetail: more than 2 closed sets\n"
     assert run(["--json", "concepts", REMBRANDT]) == 3
@@ -305,7 +308,7 @@ def test_budget_report_names_the_reason(monkeypatch, capsys):
 def test_budget_report_keeps_bounds_when_set(monkeypatch, capsys):
     def over_budget(poset):
         raise BudgetExceeded("too many cuts", lower=2, upper=5)
-    monkeypatch.setattr(odsk.cli, "dedekind_macneille", over_budget)
+    monkeypatch.setattr(odsk.completion, "dedekind_macneille", over_budget)
     assert run(["complete", BUNDES_TSV]) == 3
     assert out_of(capsys) == ("error: budget exceeded\ndetail: too many cuts\n"
                               "lower_bound: 2\nupper_bound: 5\n")
@@ -317,3 +320,21 @@ def test_dimension_budget_report_bytes(tmp_path, capsys):
     assert run(["dimension", str(anti), "--max-k", "1"]) == 3
     assert out_of(capsys) == ("elements: 3\ndimension: unknown\n"
                               "lower_bound: 2\nupper_bound: 2\n")
+
+
+@pytest.mark.filterwarnings("default")
+def test_warnings_are_plain_stderr_lines(tmp_path, capsys):
+    # the standard example S_3 (dimension 3) plus 15 isolated elements: too
+    # many elements to sample extensions, so dimdraw falls back to layered
+    s3 = [f"a{i}\tb{j}\n" for i in range(3) for j in range(3) if i != j]
+    (tmp_path / "s3.tsv").write_text("".join(s3) + "".join(f"c{k}\n" for k in range(15)),
+                                     encoding="utf-8")
+    assert run(["draw", str(tmp_path / "s3.tsv"), "-o", str(tmp_path / "s3.svg")]) == 0
+    assert capsys.readouterr().err == \
+        "warning: dimdraw budget exceeded; falling back to layered layout\n"
+    (tmp_path / "p.tsv").write_text("a\tb\nb\tc\n", encoding="utf-8")
+    (tmp_path / "d.csv").write_text(",a,b,c\na,0,1,5\nb,1,0,1\nc,5,1,0\n", encoding="utf-8")
+    assert run(["omspace", "distortion", str(tmp_path / "p.tsv"),
+                str(tmp_path / "d.csv")]) == 0
+    assert capsys.readouterr() == ("distortion: 0\nwitness: a,b\n",
+                                   "warning: triangle inequality violated at ('a', 'b', 'c')\n")
