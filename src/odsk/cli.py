@@ -2,8 +2,11 @@
 
 Output is line-oriented "key: value" text with TSV blocks for tables;
 --json emits the same data as one JSON document. Exit codes: 0 success,
-1 usage, 2 input parse/validation, 3 budget exceeded (bounds printed).
-Each subcommand imports the modules it uses when it runs.
+1 usage, 2 input parse/validation or an output that cannot be written,
+3 budget exceeded (bounds printed). Each subcommand imports the modules
+it uses when it runs and returns its output, a Report or a document's
+text (paired with the exit code when that is not 0); ``run`` writes it
+to stdout or to the -o file.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ class Report:
     def add_table(self, key: str, header: list[str], rows: list[list]):
         self.items.append((key, {"header": header, "rows": rows}))
 
-    def emit(self, as_json: bool, out=None) -> str:
+    def emit(self, as_json: bool) -> str:
         if as_json:
             doc = {}
             for key, value in self.items:
@@ -45,23 +48,17 @@ class Report:
                 str(value) if isinstance(value, Decimal) else
                 json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n  "))
                 for key, value in doc.items()]
-            text = ("{\n" + ",\n".join(fields) + "\n}\n") if fields else "{}\n"
-        else:
-            lines = []
-            for key, value in self.items:
-                if isinstance(value, dict) and "header" in value:
-                    lines.append(f"{key}:")
-                    lines.append("\t".join(value["header"]))
-                    for row in value["rows"]:
-                        lines.append("\t".join(str(c) for c in row))
-                else:
-                    lines.append(f"{key}: {value}")
-            text = "\n".join(lines) + "\n"
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return text
+            return ("{\n" + ",\n".join(fields) + "\n}\n") if fields else "{}\n"
+        lines = []
+        for key, value in self.items:
+            if isinstance(value, dict) and "header" in value:
+                lines.append(f"{key}:")
+                lines.append("\t".join(value["header"]))
+                for row in value["rows"]:
+                    lines.append("\t".join(str(c) for c in row))
+            else:
+                lines.append(f"{key}: {value}")
+        return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:
@@ -73,29 +70,46 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc
 
 
+def _write(text: str, path: str | None) -> None:
+    """Write to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OdskError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_context(path: str):
     from .fca import read_cxt
     return read_cxt(_read(path))
 
 
-def _load_poset_arg(path: str, spec: str | None, no_quotient: bool):
-    """A poset from an edge-list .tsv, or from a .csv plus scaling spec
-    (the domination order of the ordinal columns)."""
+def _load_table(path: str, spec: str):
+    """A .csv table and its scaling spec."""
+    from .scaling import read_scaling_spec, read_table_csv
+    return read_table_csv(_read(path)), read_scaling_spec(_read(spec))
+
+
+def _load_poset_arg(path: str, spec: str | None = None, no_quotient: bool = False):
+    """(poset, class map, table): a poset from an edge-list .tsv (table
+    None), or the domination order of the ordinal columns of a .csv
+    table plus scaling spec."""
     from .order import poset_from_tsv, product_order
     if path.endswith(".csv"):
         if not spec:
             raise OdskError("a .csv input needs --spec for the domination order")
-        from .scaling import read_scaling_spec, read_table_csv, to_ordinal_structure
-        table = read_table_csv(_read(path))
-        specs = read_scaling_spec(_read(spec))
+        from .scaling import to_ordinal_structure
+        table, specs = _load_table(path, spec)
         structure = to_ordinal_structure(table.select(list(specs)), specs)
-        return product_order(structure,
-                             ties="incomparable" if no_quotient else "quotient")
+        return (*product_order(structure, ties="incomparable" if no_quotient else "quotient"),
+                table)
     poset = poset_from_tsv(_read(path))
-    return poset, {e: e for e in poset.elements}
+    return poset, {e: e for e in poset.elements}, None
 
 
-def _cmd_concepts(args) -> int:
+def _cmd_concepts(args) -> Report:
     from .fca import concepts
     ctx = _load_context(args.context)
     lat = concepts(ctx)
@@ -106,11 +120,10 @@ def _cmd_concepts(args) -> int:
     rows = [[i, ",".join(c.extent), ",".join(c.intent)]
             for i, c in enumerate(lat.concepts)]
     rep.add_table("concepts", ["index", "extent", "intent"], rows)
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_implications(args) -> int:
+def _cmd_implications(args) -> Report:
     from .fca import canonical_base
     ctx = _load_context(args.context)
     base = canonical_base(ctx)
@@ -119,11 +132,10 @@ def _cmd_implications(args) -> int:
     rows = [[",".join(sorted(i.premise)), ",".join(sorted(i.conclusion))]
             for i in base]
     rep.add_table("implications", ["premise", "conclusion"], rows)
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_guttman(args) -> int:
+def _cmd_guttman(args) -> Report:
     from .fca import is_guttman
     ctx = _load_context(args.context)
     res = is_guttman(ctx)
@@ -134,13 +146,12 @@ def _cmd_guttman(args) -> int:
                       [[g, r] for g, r in res.witness.s])
         rep.add_table("attribute_ranks", ["attribute", "e"],
                       [[m, r] for m, r in res.witness.e])
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_complete(args) -> int:
+def _cmd_complete(args) -> Report:
     from .completion import dedekind_macneille
-    poset, _ = _load_poset_arg(args.poset, None, False)
+    poset = _load_poset_arg(args.poset)[0]
     comp = dedekind_macneille(poset)
     rep = Report()
     rep.add("elements", len(poset))
@@ -150,8 +161,7 @@ def _cmd_complete(args) -> int:
     rep.add_table("cuts", ["index", "extent"], rows)
     rep.add_table("embedding", ["element", "cut"],
                   [[e, i] for e, i in comp.embedding])
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
 def _verify_points(table) -> bool:
@@ -168,16 +178,14 @@ def _verify_points(table) -> bool:
         raise ParseError(f"--verify-points needs integer W, D and Pts: {exc}") from exc
 
 
-def _cmd_dimension(args) -> int:
+def _cmd_dimension(args) -> Report | tuple[Report, int]:
     from .completion import order_dimension
-    poset, classes = _load_poset_arg(args.poset, args.spec, args.no_quotient)
+    poset, classes, table = _load_poset_arg(args.poset, args.spec, args.no_quotient)
     rep = Report()
     if args.verify_points:
-        if not args.poset.endswith(".csv"):
+        if table is None:
             raise OdskError("--verify-points needs a .csv table input")
-        from .scaling import read_table_csv
-        rep.add("points_verified",
-                str(_verify_points(read_table_csv(_read(args.poset)))).lower())
+        rep.add("points_verified", str(_verify_points(table)).lower())
     rep.add("elements", len(poset))
     merged = [f"{orig}->{cls}" for orig, cls in classes.items() if orig != cls]
     if merged:
@@ -188,46 +196,35 @@ def _cmd_dimension(args) -> int:
         rep.add("dimension", "unknown")
         rep.add("lower_bound", exc.lower)
         rep.add("upper_bound", exc.upper)
-        rep.emit(args.json, args.output)
-        return 3
+        return rep, 3
     rep.add("dimension", result.dim)
     rep.add_table("realizer", ["extension"],
                   [[",".join(ext.order)] for ext in result.realizer.extensions])
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_pareto(args) -> int:
+def _cmd_pareto(args) -> Report:
     from .order import pareto_maxima
-    from .scaling import read_scaling_spec, read_table_csv, to_ordinal_structure
-    table = read_table_csv(_read(args.table))
-    specs = read_scaling_spec(_read(args.spec))
+    from .scaling import to_ordinal_structure
+    table, specs = _load_table(args.table, args.spec)
     structure = to_ordinal_structure(table.select(list(specs)), specs)
     maxima = sorted(pareto_maxima(structure))
     rep = Report()
     rep.add("criteria", ",".join(name for name, _ in structure.orders))
     rep.add("maxima_count", len(maxima))
     rep.add_table("maxima", ["element"], [[m] for m in maxima])
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_scale(args) -> int:
+def _cmd_scale(args) -> str:
     from .fca import write_cxt
-    from .scaling import apply_scaling, read_scaling_spec, read_table_csv
-    table = read_table_csv(_read(args.table))
-    specs = read_scaling_spec(_read(args.spec))
+    from .scaling import apply_scaling
+    table, specs = _load_table(args.table, args.spec)
     scoped = table.select([c.name for c in table.columns if c.name in specs])
-    ctx = apply_scaling(scoped, specs)
-    text = write_cxt(ctx)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return write_cxt(apply_scaling(scoped, specs))
 
 
-def _cmd_factors(args) -> int:
+def _cmd_factors(args) -> Report:
     from .factors import biplot, ordinal_factorization
     ctx = _load_context(args.context)
     fz = ordinal_factorization(ctx, args.k)
@@ -248,14 +245,13 @@ def _cmd_factors(args) -> int:
     rep.add("uncovered_count", len(fz.uncovered))
     rep.add_table("uncovered", ["object", "attribute"],
                   [[g, m] for g, m in sorted(fz.uncovered)])
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_distortion(args) -> int:
+def _cmd_distortion(args) -> Report:
     from .omspace import OmSpace, read_distance_csv, relational_distortion
     from .order import Relation
-    poset, _ = _load_poset_arg(args.poset, None, False)
+    poset = _load_poset_arg(args.poset)[0]
     metric = read_distance_csv(_read(args.distances))
     if sorted(metric.elements) != sorted(poset.elements):
         raise OdskError("distance table and order cover different elements")
@@ -266,11 +262,10 @@ def _cmd_distortion(args) -> int:
     rep.add("distortion", res.value)
     if res.witness:
         rep.add("witness", f"{res.witness[0]},{res.witness[1]}")
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
-def _cmd_mediate(args) -> int:
+def _cmd_mediate(args) -> Report:
     from .omspace import mediated_metric, read_distance_csv
     ctx = _load_context(args.context)
     metric = read_distance_csv(_read(args.distances))
@@ -282,8 +277,7 @@ def _cmd_mediate(args) -> int:
     rows = [[m] + ["undefined" if v is None else v for v in row]
             for m, row in zip(med.attributes, med.table)]
     rep.add_table("mediated_distances", header, rows)
-    rep.emit(args.json, args.output)
-    return 0
+    return rep
 
 
 def _reduced_labels(lat) -> dict[str, str]:
@@ -300,7 +294,7 @@ def _reduced_labels(lat) -> dict[str, str]:
     return {k: ",".join(v) for k, v in labels.items()}
 
 
-def _cmd_draw(args) -> int:
+def _cmd_draw(args) -> Report | str:
     from .fca import concepts
     from .layout import dimdraw, layered, quality, render
     labels = None
@@ -314,22 +308,20 @@ def _cmd_draw(args) -> int:
                 f"c{i}": "{" + ",".join(c.extent) + "}|{" + ",".join(c.intent) + "}"
                 for i, c in enumerate(lat.concepts)}
     else:
-        poset, _ = _load_poset_arg(args.input, None, False)
+        poset = _load_poset_arg(args.input)[0]
     drawing = dimdraw(poset, budget_ms=args.budget_ms) \
         if args.algo == "dimdraw" else layered(poset)
-    fmt = "dot" if (args.output or "").endswith(".dot") else "svg"
+    fmt = "dot" if (args.drawing or "").endswith(".dot") else "svg"
     doc = render(drawing, fmt=fmt, labels=labels)
-    if not args.output:
-        sys.stdout.write(doc)
-        return 0
-    Path(args.output).write_text(doc, encoding="utf-8")
+    if not args.drawing:
+        return doc
+    _write(doc, args.drawing)
     metrics = quality(drawing)
     rep = Report()
     rep.add("crossings", metrics.crossings)
     rep.add("distinct_slopes", metrics.distinct_slopes)
     rep.add("min_node_edge_distance", round(metrics.min_node_edge_distance, 4))
-    rep.emit(args.json)
-    return 0
+    return rep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("dimdraw", "layered"), default="dimdraw")
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--reduced-labels", action="store_true")
-    common(p)
+    p.add_argument("-o", "--output", default=None, dest="drawing", metavar="OUTPUT")
     p.set_defaults(func=_cmd_draw)
 
     return top
@@ -426,7 +418,11 @@ def run(argv: list[str]) -> int:
     try:
         with warnings.catch_warnings():  # shown as plain "warning: <message>" lines
             warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
-            return args.func(args)
+            out = args.func(args)
+        out, code = out if isinstance(out, tuple) else (out, 0)
+        # draw's -o names its drawing, so its quality report goes to stdout
+        _write(out if isinstance(out, str) else out.emit(args.json), getattr(args, "output", None))
+        return code
     except BudgetExceeded as exc:
         rep = Report()
         rep.add("error", "budget exceeded")
@@ -434,7 +430,7 @@ def run(argv: list[str]) -> int:
         for key, bound in (("lower_bound", exc.lower), ("upper_bound", exc.upper)):
             if bound is not None:
                 rep.add(key, bound)
-        rep.emit(getattr(args, "json", False))
+        _write(rep.emit(args.json), None)
         return 3
     except OdskError as exc:
         sys.stderr.write(f"error: {exc}\n")

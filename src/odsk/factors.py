@@ -48,12 +48,6 @@ class BooleanGreedyResult:
     uncovered: frozenset[tuple[str, str]]
 
 
-def _tile_pairs(ctx: FormalContext, extent_mask: int, intent_mask: int):
-    for g in _bits(extent_mask):
-        for m in _bits(intent_mask):
-            yield (g, m)
-
-
 def boolean_greedy(ctx: FormalContext, k: int | None = None,
                    budget: int = DEFAULT_CONCEPT_BUDGET) -> BooleanGreedyResult:
     """Greedy Boolean factors: repeatedly take the concept covering the
@@ -75,16 +69,13 @@ def boolean_greedy(ctx: FormalContext, k: int | None = None,
         chosen.append(idx)
         for g in _bits(ext):
             unc[g] &= ~itt
-    covered = frozenset(
-        (ctx.objects[g], ctx.attributes[m])
-        for i in chosen
-        for g, m in _tile_pairs(ctx, lat.extent_masks[i], lat.intent_masks[i]))
-    uncovered = ctx.incidences() - covered
+    uncovered = frozenset((ctx.objects[g], ctx.attributes[m])
+                          for g, row in enumerate(unc) for m in _bits(row))
     return BooleanGreedyResult(
-        tuple(lat.concepts[i] for i in chosen), covered, uncovered)
+        tuple(lat.concepts[i] for i in chosen), ctx.incidences() - uncovered, uncovered)
 
 
-def _chain_best_dp(lat: ConceptLattice, unc_cols: tuple[int, ...]) -> tuple[int, ...]:
+def _chain_best_dp(lat: ConceptLattice, unc_cols: list[int]) -> tuple[int, ...]:
     """Exact best chain by a longest-path DP over the lattice.
 
     Chains are walked top-down, which is strictly increasing lectic
@@ -109,7 +100,7 @@ def _chain_best_dp(lat: ConceptLattice, unc_cols: tuple[int, ...]) -> tuple[int,
                for i, (cov, length, chain) in enumerate(best))[2]
 
 
-def _chain_best_descent(ctx: FormalContext, unc_cols: tuple[int, ...]) -> list[tuple[int, int]]:
+def _chain_best_descent(ctx: FormalContext, unc_cols: list[int]) -> list[tuple[int, int]]:
     """Greedy best-first chain descent for large lattices.
 
     Starting at the top concept, repeatedly tightens the extent by the
@@ -152,10 +143,11 @@ def largest_ordinal_factor(ctx: FormalContext,
         uncovered = incidences
     elif not uncovered <= incidences:
         raise OdskError("uncovered pairs must be incidences of the context")
-    unc_rows = [0] * len(ctx.objects)
+    obj_bit = {g: 1 << i for i, g in enumerate(ctx.objects)}
+    att_index = {m: j for j, m in enumerate(ctx.attributes)}
+    unc_cols = [0] * len(ctx.attributes)
     for g, m in uncovered:
-        unc_rows[ctx.objects.index(g)] |= 1 << ctx.attributes.index(m)
-    unc_cols = FormalContext(ctx.objects, ctx.attributes, tuple(unc_rows)).cols
+        unc_cols[att_index[m]] |= obj_bit[g]
 
     try:
         lat = concepts(ctx, budget=EXACT_CONCEPT_LIMIT)
@@ -177,12 +169,7 @@ def largest_ordinal_factor(ctx: FormalContext,
 
 def factor_tiles(ctx: FormalContext, factor: OrdinalFactor) -> frozenset[tuple[str, str]]:
     """All incidence pairs covered by a factor's concept tiles."""
-    out = set()
-    for c in factor.chain:
-        for g in c.extent:
-            for m in c.intent:
-                out.add((g, m))
-    return frozenset(out)
+    return frozenset((g, m) for c in factor.chain for g in c.extent for m in c.intent)
 
 
 def ordinal_factorization(ctx: FormalContext, k: int) -> Factorization:

@@ -10,7 +10,7 @@ intent. Pseudo-intents are not closed under intersection, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConceptBudgetExceeded, OdskError, ParseError, UnknownAttribute
@@ -190,7 +190,11 @@ def concepts(ctx: FormalContext, budget: int = DEFAULT_CONCEPT_BUDGET) -> Concep
     m, n = len(ctx.attributes), len(ctx.objects)
     gens, full = (ctx.cols, (1 << n) - 1) if m <= n else (ctx.rows, (1 << m) - 1)
     closed = {full}
-    for x in gens:
+    # widest first: a generator that is the meet of wider ones is then
+    # already in ``closed``, which is closed under intersection
+    for x in sorted(gens, key=int.bit_count, reverse=True):
+        if x in closed:
+            continue
         closed |= {c & x for c in closed}
         if len(closed) > budget:
             break
@@ -232,18 +236,33 @@ def holds(ctx: FormalContext, imp: Implication) -> bool:
     return all(need <= ctx.derive("objects", [g]) for g in have)
 
 
-def implication_closure(attrs: Iterable[str],
-                        base: Sequence[Implication]) -> frozenset[str]:
-    """Close an attribute set under a set of implications (Armstrong)."""
-    closed = set(attrs)
+def _close_under(base: Sequence[tuple[int, int]], mask: int) -> int:
+    """Close a bitmask under implications given as (premise, conclusion)
+    mask pairs: apply every implication whose premise holds until none
+    adds a bit."""
     changed = True
     while changed:
         changed = False
-        for imp in base:
-            if imp.premise <= closed and not imp.conclusion <= closed:
-                closed |= imp.conclusion
+        for prem, concl in base:
+            if prem & ~mask == 0 and concl & ~mask:
+                mask |= concl
                 changed = True
-    return frozenset(closed)
+    return mask
+
+
+def implication_closure(attrs: Iterable[str],
+                        base: Sequence[Implication]) -> frozenset[str]:
+    """Close an attribute set under a set of implications (Armstrong)."""
+    attrs = frozenset(attrs)
+    names = list(attrs.union(*(imp.premise | imp.conclusion for imp in base)))
+    bit = {name: 1 << k for k, name in enumerate(names)}
+
+    def mask(group: frozenset[str]) -> int:
+        return sum(bit[name] for name in group)
+
+    closed = _close_under([(mask(imp.premise), mask(imp.conclusion)) for imp in base],
+                          mask(attrs))
+    return frozenset(names[k] for k in _bits(closed))
 
 
 def entails(base: Sequence[Implication], imp: Implication) -> bool:
@@ -260,18 +279,7 @@ def canonical_base(ctx: FormalContext,
     closed sets, intents plus pseudo-intents.
     """
     base_masks: list[tuple[int, int]] = []  # (premise mask, closure mask)
-
-    def lclose(mask: int) -> int:
-        changed = True
-        while changed:
-            changed = False
-            for prem, concl in base_masks:
-                if prem & ~mask == 0 and concl & ~mask:
-                    mask |= concl
-                    changed = True
-        return mask
-
-    for A in _next_closure(len(ctx.attributes), lclose, budget):
+    for A in _next_closure(len(ctx.attributes), partial(_close_under, base_masks), budget):
         closed = ctx._intent_of(ctx._extent_of(A))
         if closed != A:
             base_masks.append((A, closed))
@@ -340,34 +348,23 @@ class ClarifyResult:
     attribute_groups: tuple[tuple[str, ...], ...]
 
 
+def _group_equal(masks: Iterable[int], names: Sequence[str]
+                 ) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
+    """The distinct masks in first-seen order, and the names sharing each."""
+    groups: dict[int, list[str]] = {}
+    for mask, name in zip(masks, names):
+        groups.setdefault(mask, []).append(name)
+    return tuple(groups), tuple(map(tuple, groups.values()))
+
+
 def clarify(ctx: FormalContext) -> ClarifyResult:
     """Merge identical rows, then identical columns; merged names are
     joined with '+' in original order."""
-    row_groups: dict[int, list[int]] = {}
-    row_order: list[int] = []
-    for i, r in enumerate(ctx.rows):
-        if r not in row_groups:
-            row_groups[r] = []
-            row_order.append(r)
-        row_groups[r].append(i)
-    objects = tuple("+".join(ctx.objects[i] for i in row_groups[r]) for r in row_order)
-    rows = tuple(row_order)
-    obj_groups = tuple(tuple(ctx.objects[i] for i in row_groups[r]) for r in row_order)
-
-    col_groups: dict[int, list[int]] = {}
-    col_order: list[int] = []
-    for j, c in enumerate(_transpose(rows, len(ctx.attributes))):
-        if c not in col_groups:
-            col_groups[c] = []
-            col_order.append(c)
-        col_groups[c].append(j)
-    attributes = tuple("+".join(ctx.attributes[j] for j in col_groups[c])
-                       for c in col_order)
-    att_groups = tuple(tuple(ctx.attributes[j] for j in col_groups[c])
-                       for c in col_order)
-    new_rows = tuple(_transpose(col_order, len(rows)))
-    return ClarifyResult(FormalContext(objects, attributes, new_rows),
-                         obj_groups, att_groups)
+    rows, obj_groups = _group_equal(ctx.rows, ctx.objects)
+    cols, att_groups = _group_equal(_transpose(rows, len(ctx.attributes)), ctx.attributes)
+    merged = FormalContext(tuple(map("+".join, obj_groups)), tuple(map("+".join, att_groups)),
+                           tuple(_transpose(cols, len(rows))))
+    return ClarifyResult(merged, obj_groups, att_groups)
 
 
 # -- Burmeister CXT format ---------------------------------------------

@@ -33,6 +33,29 @@ def _check_elements(elements: Sequence[str]) -> tuple[str, ...]:
     return elems
 
 
+def _check_preorder(elements: Sequence[str], rows: Sequence[int], what: str,
+                    antisymmetric: bool) -> None:
+    """Validate bitset rows as a reflexive, transitive relation on
+    ``elements`` (``what`` names it in messages), and antisymmetric too
+    if asked, all in one pass over the set bits."""
+    _check_elements(elements)
+    n = len(elements)
+    if len(rows) != n:
+        raise OdskError("row count does not match element count")
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise OdskError(f"{what} not reflexive at {elements[i]}")
+        if row >> n:
+            raise OdskError(f"{what} row wider than element count")
+    for i, row in enumerate(rows):
+        bit, missing = 1 << i, ~row
+        for j in _bits(row ^ bit):
+            if rows[j] & missing:
+                raise OdskError(f"{what} not transitive")
+            if antisymmetric and rows[j] & bit:
+                raise AntisymmetryViolation((frozenset({elements[i], elements[j]}),))
+
+
 def _reflexive_transitive_rows(rel: Relation) -> list[int]:
     """Warshall closure of the relation plus the diagonal, as bitset
     rows; row[i] bit j means i -> j."""
@@ -118,20 +141,7 @@ class Poset:
     up: tuple[int, ...]
 
     def __post_init__(self):
-        _check_elements(self.elements)
-        n = len(self.elements)
-        if len(self.up) != n:
-            raise OdskError("row count does not match element count")
-        for i in range(n):
-            if not (self.up[i] >> i) & 1:
-                raise OdskError(f"relation not reflexive at {self.elements[i]}")
-        for i in range(n):
-            for j in _bits(self.up[i]):
-                if self.up[j] & ~self.up[i]:
-                    raise OdskError("relation not transitive")
-                if i != j and (self.up[j] >> i) & 1:
-                    raise AntisymmetryViolation(
-                        (frozenset({self.elements[i], self.elements[j]}),))
+        _check_preorder(self.elements, self.up, "relation", antisymmetric=True)
 
     # -- construction -------------------------------------------------
 
@@ -434,14 +444,7 @@ class QuasiOrder:
     rel: tuple[int, ...]
 
     def __post_init__(self):
-        _check_elements(self.elements)
-        n = len(self.elements)
-        for i in range(n):
-            if not (self.rel[i] >> i) & 1:
-                raise OdskError(f"quasi-order not reflexive at {self.elements[i]}")
-            for j in _bits(self.rel[i]):
-                if self.rel[j] & ~self.rel[i]:
-                    raise OdskError("quasi-order not transitive")
+        _check_preorder(self.elements, self.rel, "quasi-order", antisymmetric=False)
 
     @classmethod
     def from_values(cls, elements: Sequence[str], values: Sequence,

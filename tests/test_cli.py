@@ -1,6 +1,5 @@
 import functools
 import json
-import os
 from decimal import Decimal
 
 import pytest
@@ -167,8 +166,8 @@ def test_json_report_bytes_are_json_dumps():
     rep.add_table("empty", ["a"], [])
     doc = {"count": 3, "name": "Mü\t\"x\"",
            "rows": [{"a": "1", "b": "ß"}, {"a": "2.50", "b": "None"}], "empty": []}
-    assert rep.emit(True, os.devnull) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-    assert odsk.cli.Report().emit(True, os.devnull) == "{}\n"
+    assert rep.emit(True) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    assert odsk.cli.Report().emit(True) == "{}\n"
 
 
 def test_draw_svg_and_dot(tmp_path, capsys):
@@ -242,6 +241,44 @@ def test_read_non_utf8_is_parse_error(tmp_path):
     bad.write_bytes("caf\xe9\tb\n".encode("latin-1"))
     with pytest.raises(ParseError):
         _read(str(bad))
+
+
+def test_read_missing_input_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cxt")
+    with pytest.raises(odsk.OdskError, match="^cannot read "):
+        _read(missing)
+    assert run(["concepts", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["concepts", REMBRANDT],
+    ["--json", "dimension", BUNDES_TSV],
+    ["scale", BUNDES_CSV, "--spec", BUNDES_SPEC],
+    ["draw", BUNDES_TSV, "--algo", "layered"],
+], ids=["report", "json-report", "scale", "draw"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    target = str(tmp_path / "no-such-dir" / "out.txt")
+    assert run(argv + ["-o", target]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_dimension_reports_quotient_classes(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("name,c\nx,1\ny,1\nz,2\n", encoding="utf-8")
+    (tmp_path / "s.json").write_text('{"c": {"kind": "ordinal"}}', encoding="utf-8")
+    assert run(["dimension", str(tmp_path / "t.csv"), "--spec", str(tmp_path / "s.json")]) == 0
+    assert out_of(capsys) == ("elements: 2\nquotient_classes: x->x+y; y->x+y\ndimension: 1\n"
+                              "realizer:\nextension\nx+y,z\n")
+
+
+def test_mediate_reports_empty_extents(tmp_path, capsys):
+    (tmp_path / "c.cxt").write_text("B\n\n2\n2\n\ng1\ng2\nm1\nm2\nX.\nX.\n", encoding="utf-8")
+    (tmp_path / "d.csv").write_text(",g1,g2\ng1,0,1\ng2,1,0\n", encoding="utf-8")
+    assert run(["omspace", "mediate", str(tmp_path / "c.cxt"), str(tmp_path / "d.csv")]) == 0
+    assert out_of(capsys) == ("empty_extents: m2\nmediated_distances:\nattribute\tm1\tm2\n"
+                              "m1\t0\tundefined\nm2\tundefined\tundefined\n")
 
 
 @pytest.mark.parametrize("argv, files", [

@@ -397,3 +397,18 @@ def test_bounds_run_under_the_deadline():
                  lambda deadline: completion._odd_conflict_cycle(p, crit, deadline)):
         with pytest.raises(completion._Timeout):
             step(time.monotonic())
+
+
+def test_search_timeout_reports_the_k_it_reached(monkeypatch):
+    search = completion._search_partition
+
+    def capped_times_out(p, crit, k, deadline):
+        if k is not None:  # the uncapped descent still runs
+            raise completion._Timeout
+        return search(p, crit, k, deadline)
+
+    monkeypatch.setattr(completion, "_search_partition", capped_times_out)
+    with pytest.raises(BudgetExceeded) as exc:
+        order_dimension(standard_example(4))
+    assert str(exc.value) == "dimension search timed out at k=3"
+    assert (exc.value.lower, exc.value.upper) == (3, 4)

@@ -196,6 +196,18 @@ def test_concepts_match_next_closure_on_dm_contexts(rng):
         assert (lat.extent_masks, lat.intent_masks) == next_closure_masks(ctx)
 
 
+def test_concepts_match_next_closure_on_lattice_dm_contexts(rng):
+    # (L, L, <=) of a concept lattice L: most columns are meets of wider
+    # ones, so concepts skips them as generators; the completion is L again
+    for _ in range(60):
+        ctx = random_context(rng, rng.randint(1, 7), rng.randint(1, 6), rng.choice((0.3, 0.5)))
+        p = concepts(ctx).to_poset()
+        dm = FormalContext(p.elements, p.elements, p.up)
+        lat = concepts(dm)
+        assert len(lat) == len(p)
+        assert (lat.extent_masks, lat.intent_masks) == next_closure_masks(dm)
+
+
 # -- implications ----------------------------------------------------------
 
 
@@ -263,6 +275,14 @@ def test_implication_closure_iterates():
     base = [Implication(frozenset({"a"}), frozenset({"b"})),
             Implication(frozenset({"b"}), frozenset({"c"}))]
     assert implication_closure({"a"}, base) == {"a", "b", "c"}
+
+
+def test_implication_closure_of_any_iterable():
+    base = [Implication(frozenset({"a", "b"}), frozenset({"c"})),
+            Implication(frozenset({"c"}), frozenset({"d"}))]
+    assert implication_closure(iter(["b", "e", "a"]), base) == {"a", "b", "c", "d", "e"}
+    assert implication_closure(["b", "b"], base) == {"b"}
+    assert implication_closure([], []) == frozenset()
 
 
 # -- Guttman -----------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from odsk import (AntisymmetryViolation, BudgetExceeded, LinearExtension,
+from odsk import (AntisymmetryViolation, BudgetExceeded, LinearExtension, OdskError,
                   OrdinalStructure, Poset, QuasiOrder, Relation,
                   close_quasiorder, close_relation, intersect_linear_orders,
                   pareto_maxima, poset_from_tsv, product_order,
@@ -41,6 +41,47 @@ def test_close_relation_cycle_reports_class():
     with pytest.raises(AntisymmetryViolation) as exc:
         close_relation(Relation.from_named_pairs("ab", [("a", "b"), ("b", "a")]))
     assert exc.value.classes == (frozenset({"a", "b"}),)
+
+
+# -- validation -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Poset(("a", "b"), (0b01,)),
+     OdskError, "row count does not match element count"),
+    (lambda: Poset(("a", "b"), (0b01, 0b00)), OdskError, "relation not reflexive at b"),
+    (lambda: Poset(("a",), (0b11,)), OdskError, "relation row wider than element count"),
+    (lambda: Poset(("a", "b", "c"), (0b011, 0b110, 0b100)),
+     OdskError, "relation not transitive"),
+    (lambda: Poset(("a", "b"), (0b11, 0b11)), AntisymmetryViolation,
+     "relation is not antisymmetric; equivalent classes: {a,b}"),
+    (lambda: QuasiOrder(("a", "b"), (0b01,)),
+     OdskError, "row count does not match element count"),
+    (lambda: QuasiOrder(("a",), (0b01, 0b11)),
+     OdskError, "row count does not match element count"),
+    (lambda: QuasiOrder(("a", "b"), (0b11, 0b01)), OdskError, "quasi-order not reflexive at b"),
+    (lambda: QuasiOrder(("a",), (0b11,)),
+     OdskError, "quasi-order row wider than element count"),
+    (lambda: QuasiOrder(("a", "b", "c"), (0b011, 0b110, 0b100)),
+     OdskError, "quasi-order not transitive"),
+    (lambda: Poset(("a", "b", "a"), (0b001, 0b010, 0b100)),
+     OdskError, "duplicate element names: ['a']"),
+    (lambda: Relation(("a",), frozenset({(0, 1)})), OdskError, "pair index out of range: (0, 1)"),
+    (lambda: Relation.from_named_pairs(("a",), [("a", "b")]),
+     OdskError, "unknown element in pair: 'b'"),
+], ids=["poset-rows", "poset-reflexive", "poset-wide-row", "poset-transitive",
+        "poset-antisymmetric", "quasi-too-few-rows", "quasi-too-many-rows", "quasi-reflexive",
+        "quasi-wide-row", "quasi-transitive", "duplicate-names", "pair-out-of-range",
+        "pair-unknown-element"])
+def test_invalid_relations_are_rejected(build, error, message):
+    with pytest.raises(OdskError) as exc:
+        build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_quasi_order_allows_ties():
+    assert QuasiOrder(("a", "b"), (0b11, 0b11)).leq("b", "a")
 
 
 # -- quotient -----------------------------------------------------------
