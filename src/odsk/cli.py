@@ -3,10 +3,10 @@
 Output is line-oriented "key: value" text with TSV blocks for tables;
 --json emits the same data as one JSON document. Exit codes: 0 success,
 1 usage, 2 input parse/validation or an output that cannot be written,
-3 budget exceeded (bounds printed). Each subcommand imports the modules
+3 budget exceeded (bounds reported). Each subcommand imports the modules
 it uses when it runs and returns its output, a Report or a document's
-text (paired with the exit code when that is not 0); ``run`` writes it
-to stdout or to the -o file.
+text (paired with the exit code when that is not 0); ``run`` writes it,
+or the budget report, to stdout or to the -o file.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def _load_poset_arg(path: str, spec: str | None = None, no_quotient: bool = Fals
     from .order import poset_from_tsv, product_order
     if path.endswith(".csv"):
         if not spec:
-            raise OdskError("a .csv input needs --spec for the domination order")
+            raise OdskError("only dimension reads a .csv table, with --spec")
         from .scaling import to_ordinal_structure
         table, specs = _load_table(path, spec)
         structure = to_ordinal_structure(table.select(list(specs)), specs)
@@ -416,22 +416,22 @@ def run(argv: list[str]) -> int:
         return 0 if exc.code == 0 else 1
     import warnings
     try:
-        with warnings.catch_warnings():  # shown as plain "warning: <message>" lines
-            warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
-            out = args.func(args)
+        try:
+            with warnings.catch_warnings():  # shown as plain "warning: <message>" lines
+                warnings.showwarning = lambda message, *_: sys.stderr.write(f"warning: {message}\n")
+                out = args.func(args)
+        except BudgetExceeded as exc:
+            rep = Report()
+            rep.add("error", "budget exceeded")
+            rep.add("detail", str(exc))
+            for key, bound in (("lower_bound", exc.lower), ("upper_bound", exc.upper)):
+                if bound is not None:
+                    rep.add(key, bound)
+            out = rep, 3
         out, code = out if isinstance(out, tuple) else (out, 0)
         # draw's -o names its drawing, so its quality report goes to stdout
         _write(out if isinstance(out, str) else out.emit(args.json), getattr(args, "output", None))
         return code
-    except BudgetExceeded as exc:
-        rep = Report()
-        rep.add("error", "budget exceeded")
-        rep.add("detail", str(exc))
-        for key, bound in (("lower_bound", exc.lower), ("upper_bound", exc.upper)):
-            if bound is not None:
-                rep.add(key, bound)
-        _write(rep.emit(args.json), None)
-        return 3
     except OdskError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

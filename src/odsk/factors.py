@@ -59,7 +59,7 @@ def boolean_greedy(ctx: FormalContext, k: int | None = None,
     while any(unc) and (k is None or len(chosen) < k):
         best = None
         for idx, (ext, itt) in enumerate(zip(lat.extent_masks, lat.intent_masks)):
-            gain = sum(bin(unc[g] & itt).count("1") for g in _bits(ext))
+            gain = sum((unc[g] & itt).bit_count() for g in _bits(ext))
             key = (-gain, idx)
             if best is None or key < best[0]:
                 best = (key, idx, ext, itt)
@@ -88,7 +88,7 @@ def _chain_best_dp(lat: ConceptLattice, unc_cols: list[int]) -> tuple[int, ...]:
     exts, itts = lat.extent_masks, lat.intent_masks
 
     def marginal(i: int, prev_intent: int) -> int:
-        return sum(bin(unc_cols[m] & exts[i]).count("1")
+        return sum((unc_cols[m] & exts[i]).bit_count()
                    for m in _bits(itts[i] & ~prev_intent))
 
     best: list = [None] * n
@@ -118,10 +118,10 @@ def _chain_best_descent(ctx: FormalContext, unc_cols: list[int]) -> list[tuple[i
             if itt >> m & 1:
                 continue
             ext2 = ext & ctx.cols[m]
-            gain = bin(ext2 & unc_cols[m]).count("1")
+            gain = (ext2 & unc_cols[m]).bit_count()
             if gain == 0:
                 continue
-            key = (-gain, -bin(ext2).count("1"), tuple(_bits(ext2)))
+            key = (-gain, -ext2.bit_count(), tuple(_bits(ext2)))
             if best is None or key < best[0]:
                 best = (key, ext2)
         if best is None:
@@ -158,7 +158,7 @@ def largest_ordinal_factor(ctx: FormalContext,
         masks = [(lat.extent_masks[i], lat.intent_masks[i]) for i in idxs]
 
     masks = [(e, b) for e, b in masks if e and b]  # prune empty tiles
-    masks.sort(key=lambda p: bin(p[0]).count("1"))  # increasing extent
+    masks.sort(key=lambda p: p[0].bit_count())  # increasing extent
     objs, attrs = ctx.objects, ctx.attributes
     chain = tuple(
         FormalConcept(tuple(objs[i] for i in _bits(e)),

@@ -165,7 +165,7 @@ class ConceptLattice:
         return self.extent_index[(1 << len(self.context.objects)) - 1]
 
     def is_chain(self) -> bool:
-        exts = sorted(self.extent_masks, key=lambda e: bin(e).count("1"))
+        exts = sorted(self.extent_masks, key=int.bit_count)
         return all(a & ~b == 0 for a, b in zip(exts, exts[1:]))
 
     def to_poset(self) -> Poset:
@@ -320,7 +320,7 @@ def is_guttman(ctx: FormalContext) -> GuttmanResult:
     """Ferrers test: rows must form a chain under inclusion. The witness
     ranks rows by that chain, largest row first."""
     order = sorted(range(len(ctx.objects)),
-                   key=lambda i: (-bin(ctx.rows[i]).count("1"), i))
+                   key=lambda i: (-ctx.rows[i].bit_count(), i))
     distinct: list[int] = []
     for i in order:
         prev = distinct[-1] if distinct else None

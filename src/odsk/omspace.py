@@ -264,7 +264,7 @@ def mediated_metric(ctx: FormalContext, d_g: FiniteMetric) -> MediatedMetric:
 
 def valuation_order(ctx: FormalContext) -> QuasiOrder:
     """Rank objects by their attribute count: g <= h iff |g'| <= |h'|."""
-    counts = [bin(r).count("1") for r in ctx.rows]
+    counts = [r.bit_count() for r in ctx.rows]
     return QuasiOrder.from_values(ctx.objects, counts)
 
 

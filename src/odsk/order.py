@@ -56,20 +56,6 @@ def _check_preorder(elements: Sequence[str], rows: Sequence[int], what: str,
                 raise AntisymmetryViolation((frozenset({elements[i], elements[j]}),))
 
 
-def _reflexive_transitive_rows(rel: Relation) -> list[int]:
-    """Warshall closure of the relation plus the diagonal, as bitset
-    rows; row[i] bit j means i -> j."""
-    rows = [row | 1 << i for i, row in enumerate(rel.rows())]
-    n = len(rows)
-    for k in range(n):
-        rk = rows[k]
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
-    return rows
-
-
 @dataclass(frozen=True)
 class Relation:
     """A named finite binary relation, pairs stored by element index."""
@@ -115,18 +101,44 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
     return cols
 
 
-def _strong_components(rows: list[int], n: int) -> list[list[int]]:
-    """Mutual-reachability classes of a reflexive, transitively closed
-    relation, each in index order, ordered by their least member."""
-    cols = _transpose(rows, n)
-    seen = 0
-    comps = []
-    for i in range(n):
-        if not seen >> i & 1:
-            comp = rows[i] & cols[i]
-            seen |= comp
-            comps.append(list(_bits(comp)))
-    return comps
+def _close(rows: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """Reflexive-transitive closure of bitset rows (row[i] bit j means
+    i -> j) and its strong components, in one iterative Tarjan pass.
+
+    A component finishes after every component it reaches, so its closed
+    row is its members' bits OR the closed rows its arcs lead to; an arc
+    into a bit already in that row adds nothing and is skipped, so a node
+    takes low[w], not w's stack position, from each w whose row it merges.
+    Members come in index order, components ordered by their least member.
+    """
+    n = len(rows)
+    reach = [1 << i for i in range(n)]  # the closed row once finished
+    number, low = [-1] * n, [n] * n  # stack positions, -1 unvisited; low n once finished
+    stack, comps = [], []
+    for root in range(n):
+        path = [root] if number[root] < 0 else []
+        while path:
+            v = path[-1]
+            if number[v] < 0:
+                number[v] = low[v] = len(stack)
+                stack.append(v)
+            todo = rows[v] & ~reach[v]
+            if todo:  # a child whose search has ended is met again here
+                w = (todo & -todo).bit_length() - 1
+                if number[w] < 0:
+                    path.append(w)
+                else:  # finished, or on the stack in v's component
+                    reach[v] |= reach[w]
+                    low[v] = min(low[v], low[w])
+                continue
+            path.pop()
+            if low[v] == number[v]:
+                comp = sorted(stack[low[v]:])
+                del stack[low[v]:]
+                for m in comp:
+                    reach[m], low[m] = reach[v], n
+                comps.append(comp)
+    return reach, sorted(comps)
 
 
 @dataclass(frozen=True)
@@ -278,7 +290,7 @@ class Poset:
         """Partition into antichain levels by longest chain below."""
         n = len(self)
         depth = [0] * n
-        order = sorted(range(n), key=lambda i: bin(self.down[i]).count("1"))
+        order = sorted(range(n), key=lambda i: self.down[i].bit_count())
         for i in order:
             below = self.down[i] & ~(1 << i)
             depth[i] = max((depth[k] + 1 for k in _bits(below)), default=0)
@@ -422,8 +434,7 @@ def poset_from_tsv(text: str) -> Poset:
 def close_relation(rel: Relation) -> Poset:
     """Reflexive-transitive closure; raises AntisymmetryViolation with the
     strongly-equivalent classes when the result is not a poset."""
-    rows = _reflexive_transitive_rows(rel)
-    comps = _strong_components(rows, len(rows))
+    rows, comps = _close(rel.rows())
     bad = tuple(frozenset(rel.elements[i] for i in comp)
                 for comp in comps if len(comp) > 1)
     if bad:
@@ -433,7 +444,7 @@ def close_relation(rel: Relation) -> Poset:
 
 def close_quasiorder(rel: Relation) -> "QuasiOrder":
     """Reflexive-transitive closure kept as a quasi-order (ties allowed)."""
-    return QuasiOrder(rel.elements, tuple(_reflexive_transitive_rows(rel)))
+    return QuasiOrder(rel.elements, tuple(_close(rel.rows())[0]))
 
 
 @dataclass(frozen=True)
@@ -469,8 +480,7 @@ class QuasiOrder:
     def quotient(self) -> tuple[Poset, dict[str, str]]:
         """Merge mutually comparable elements; returns the induced poset
         and the element -> class-name map ('+'-joined member names)."""
-        n = len(self.elements)
-        comps = _strong_components(list(self.rel), n)
+        comps = _close(self.rel)[1]
         names = ["+".join(self.elements[i] for i in comp) for comp in comps]
         class_of = {}
         for cname, comp in zip(names, comps):

@@ -342,6 +342,22 @@ def test_budget_report_names_the_reason(monkeypatch, capsys):
                                           "detail": "more than 2 closed sets"}
 
 
+def test_budget_report_goes_to_the_output_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(odsk.fca, "concepts", functools.partial(concepts, budget=2))
+    out = tmp_path / "c.txt"
+    assert run(["concepts", REMBRANDT, "-o", str(out)]) == 3
+    assert out_of(capsys) == ""
+    assert out.read_text(encoding="utf-8") == \
+        "error: budget exceeded\ndetail: more than 2 closed sets\n"
+
+
+def test_csv_poset_input_is_read_only_by_dimension(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("name,c\nx,1\ny,2\n", encoding="utf-8")
+    assert run(["complete", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr() == \
+        ("", "error: only dimension reads a .csv table, with --spec\n")
+
+
 def test_budget_report_keeps_bounds_when_set(monkeypatch, capsys):
     def over_budget(poset):
         raise BudgetExceeded("too many cuts", lower=2, upper=5)

@@ -3,14 +3,17 @@ against test-local copies of the pairwise element loops they replace."""
 
 import random
 
+import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from odsk import (LinearExtension, OrdinalStructure, Poset, QuasiOrder, Relation,
-                  close_quasiorder, concepts, intersect_linear_orders,
-                  pareto_maxima, product_order, product_quasiorder)
+from odsk import (AntisymmetryViolation, LinearExtension, OrdinalStructure, Poset,
+                  QuasiOrder, Relation, close_quasiorder, close_relation, concepts,
+                  intersect_linear_orders, pareto_maxima, product_order,
+                  product_quasiorder)
 from odsk.fixtures import bundesliga_domination, rembrandt, socialnet
-from odsk.order import _bits, _strong_components
+from odsk.order import _bits, _close, _transpose
 
 from conftest import brute_max_antichain, fence, random_context, random_poset
 
@@ -30,6 +33,27 @@ def pairwise_strong_components(rows, n):
                 comp.append(j)
                 seen[j] = True
         comps.append(comp)
+    return comps
+
+
+def warshall_rows(rows):
+    """Warshall's closure of the relation plus the diagonal."""
+    rows = [row | 1 << i for i, row in enumerate(rows)]
+    for k in range(len(rows)):
+        for i in range(len(rows)):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return rows
+
+
+def row_and_column_components(rows, n):
+    """Classes of a closed relation as row & column masks, by least member."""
+    cols = _transpose(rows, n)
+    seen, comps = 0, []
+    for i in range(n):
+        if not seen >> i & 1:
+            seen |= rows[i] & cols[i]
+            comps.append(list(_bits(rows[i] & cols[i])))
     return comps
 
 
@@ -110,7 +134,55 @@ def test_strong_components_match_pairwise_scan():
         names = [f"e{i}" for i in range(n)]
         pairs = [(a, b) for a in names for b in names if rng.random() < 0.12]
         rows = list(close_quasiorder(Relation.from_named_pairs(names, pairs)).rel)
-        assert _strong_components(rows, n) == pairwise_strong_components(rows, n)
+        assert _close(rows)[1] == pairwise_strong_components(rows, n)
+
+
+@st.composite
+def relations(draw):
+    """Random relations on up to 12 elements, acyclic or not."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # acyclic: arcs only to larger indices
+        rows = [row >> i + 1 << i + 1 for i, row in enumerate(rows)]
+    pairs = frozenset((i, j) for i, row in enumerate(rows) for j in _bits(row))
+    return Relation(tuple(f"e{i}" for i in range(n)), pairs)
+
+
+@given(relations())
+def test_close_matches_warshall_and_component_scan(rel):
+    n = len(rel.elements)
+    rows = warshall_rows(rel.rows())
+    comps = row_and_column_components(rows, n)
+    assert _close(rel.rows()) == (rows, comps)
+    ties = tuple(frozenset(rel.elements[i] for i in c) for c in comps if len(c) > 1)
+    if ties:
+        with pytest.raises(AntisymmetryViolation) as exc:
+            close_relation(rel)
+        assert exc.value.classes == ties
+    else:
+        assert close_relation(rel).up == tuple(rows)
+    # the quotient names each class by its members and keeps, in each
+    # class's row, the bit of each class it lies below
+    poset, class_of = close_quasiorder(rel).quotient()
+    names = tuple("+".join(rel.elements[i] for i in c) for c in comps)
+    assert poset.elements == names
+    assert class_of == {rel.elements[i]: name for name, c in zip(names, comps) for i in c}
+    assert poset.up == tuple(sum(1 << b for b, d in enumerate(comps) if rows[c[0]] >> d[0] & 1)
+                             for c in comps)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_close_a_long_chain_and_cycle(cyclic):
+    # 3,000 elements deep: a recursive search would pass Python's
+    # default recursion limit of 1,000
+    n = 3000
+    rows = [1 << i + 1 for i in range(n - 1)] + [1 if cyclic else 0]
+    closed, comps = _close(rows)
+    if cyclic:
+        assert closed == [(1 << n) - 1] * n and comps == [list(range(n))]
+    else:
+        assert closed == [(1 << n) - (1 << i) for i in range(n)]
+        assert comps == [[i] for i in range(n)]
 
 
 def test_incomparable_pairs_match_pairwise_scan():
