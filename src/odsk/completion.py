@@ -53,8 +53,9 @@ class Completion:
 def dedekind_macneille(p: Poset) -> Completion:
     ctx = FormalContext(p.elements, p.elements, p.up)
     lat = concepts(ctx)
+    # an element's principal ideal, the extent of its cut, is its column
     embedding = tuple(
-        (name, lat.extent_index[p.down[i]]) for i, name in enumerate(p.elements))
+        (name, lat.extent_index[ctx.cols[i]]) for i, name in enumerate(p.elements))
     image = {idx for _, idx in embedding}
     new_nodes = tuple(i for i in range(len(lat)) if i not in image)
     return Completion(lat, embedding, new_nodes)

@@ -8,7 +8,7 @@ are immutable values; every operation returns fresh objects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -54,6 +54,16 @@ def _check_preorder(elements: Sequence[str], rows: Sequence[int], what: str,
                 raise OdskError(f"{what} not transitive")
             if antisymmetric and rows[j] & bit:
                 raise AntisymmetryViolation((frozenset({elements[i], elements[j]}),))
+
+
+def _closed(cls, elements: tuple[str, ...], rows: list[int]):
+    """A ``cls`` (Poset or QuasiOrder) on rows that ``_close`` built: they
+    are reflexive, transitive and as wide as ``elements`` by construction,
+    so ``__post_init__``'s second pass over their set bits is skipped."""
+    obj = object.__new__(cls)
+    for field, value in zip(fields(cls), (elements, tuple(rows))):
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -439,12 +449,12 @@ def close_relation(rel: Relation) -> Poset:
                 for comp in comps if len(comp) > 1)
     if bad:
         raise AntisymmetryViolation(bad)
-    return Poset(rel.elements, tuple(rows))
+    return _closed(Poset, rel.elements, rows)
 
 
 def close_quasiorder(rel: Relation) -> "QuasiOrder":
     """Reflexive-transitive closure kept as a quasi-order (ties allowed)."""
-    return QuasiOrder(rel.elements, tuple(_close(rel.rows())[0]))
+    return _closed(QuasiOrder, rel.elements, _close(rel.rows())[0])
 
 
 @dataclass(frozen=True)

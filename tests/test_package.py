@@ -10,6 +10,7 @@ import pytest
 import odsk
 import odsk.cli
 import odsk.fca
+from odsk.fixtures import fixture_path
 
 # every public name, by the module it comes from
 EXPORTS = {
@@ -65,11 +66,30 @@ def test_cli_reads_public_names_from_the_package():
     assert odsk.cli.concepts is odsk.fca.concepts
 
 
+def in_fresh_process(code: str, *args: str) -> list[str]:
+    """The lines ``code`` prints in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          cwd=Path(odsk.__file__).parents[1], timeout=60, check=True)
+    return proc.stdout.splitlines()
+
+
 def test_cli_start_up_loads_no_algorithm_module():
     code = ("import sys, odsk.cli\n"
             "odsk.cli.build_parser()\n"
             "assert odsk.cli.run(['--help']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'odsk'))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=Path(odsk.__file__).parents[1], timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == "['odsk', 'odsk.cli', 'odsk.errors']"
+    assert in_fresh_process(code)[-1] == "['odsk', 'odsk.cli']"
+
+
+def test_cli_start_up_leaves_command_and_output_modules_unloaded():
+    # json and decimal serve only --json, pathlib nothing, odsk.errors and
+    # odsk.commands only a parsed command
+    code = ("import os, sys\n"
+            "before = set(sys.modules)\n"
+            "import odsk.cli\n"
+            "odsk.cli.build_parser()\n"
+            "late = ('json', 'decimal', 'pathlib', 'odsk.errors', 'odsk.commands')\n"
+            "print(sorted(set(late) & (set(sys.modules) - before)))\n"
+            "assert odsk.cli.run(['concepts', sys.argv[1], '-o', os.devnull]) == 0\n"
+            "print('odsk.commands' in sys.modules)\n")
+    assert in_fresh_process(code, str(fixture_path("rembrandt.cxt"))) == ["[]", "True"]

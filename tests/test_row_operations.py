@@ -13,7 +13,7 @@ from odsk import (AntisymmetryViolation, LinearExtension, OrdinalStructure, Pose
                   intersect_linear_orders, pareto_maxima, product_order,
                   product_quasiorder)
 from odsk.fixtures import bundesliga_domination, rembrandt, socialnet
-from odsk.order import _bits, _close, _transpose
+from odsk.order import _bits, _check_preorder, _close, _transpose
 
 from conftest import brute_max_antichain, fence, random_context, random_poset
 
@@ -169,6 +169,21 @@ def test_close_matches_warshall_and_component_scan(rel):
     assert class_of == {rel.elements[i]: name for name, c in zip(names, comps) for i in c}
     assert poset.up == tuple(sum(1 << b for b, d in enumerate(comps) if rows[c[0]] >> d[0] & 1)
                              for c in comps)
+
+
+@given(relations())
+def test_closures_pass_the_checks_they_skip(rel):
+    """close_relation and close_quasiorder build their result without
+    __post_init__'s check; it must pass that check all the same."""
+    q = close_quasiorder(rel)
+    _check_preorder(q.elements, q.rel, "quasi-order", antisymmetric=False)
+    assert q == QuasiOrder(q.elements, q.rel)
+    try:
+        p = close_relation(rel)
+    except AntisymmetryViolation:
+        return
+    _check_preorder(p.elements, p.up, "relation", antisymmetric=True)
+    assert p == Poset(p.elements, p.up)
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
