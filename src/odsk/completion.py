@@ -1,22 +1,20 @@
 """Dedekind-MacNeille completion and order dimension with realizers.
 
 The completion is computed as the concept lattice of the context
-(P, P, <=). Dimension search partitions the critical pairs into
-reversible classes: a class is reversible iff the strict order plus the
-reversed pairs stays acyclic, in which case a topological sort yields a
-linear extension reversing exactly that class. One iterative first-fit
+(P, P, <=). A realizer partitions the critical pairs into reversible
+classes: the strict order plus a class's reversed pairs stays acyclic,
+and a topological sort yields a linear extension reversing exactly that
+class. Two critical pairs conflict when no linear extension reverses
+both. One 2-colouring of this conflict graph finds an odd cycle, which
+certifies dimension >= 3, or colour classes that, when reversible, are
+the realizer of a dimension-2 poset. Otherwise an iterative first-fit
 search with backtracking fills the classes in lexicographic
-critical-pair order, so results are deterministic. With no cap on the
-number of classes its first descent never backtracks (a fresh class
-takes any critical pair), and the class count it reaches is the upper
-bound. Capped at that count or more, first-fit retraces the descent, so
-the descent's classes are the realizer there and are not searched
-again. The search starts at a certified lower bound: 3 when the
-conflict graph of the critical pairs (two pairs conflict when they form
-an alternating 2-cycle, so no linear extension reverses both) has an
-odd cycle, else 2. After the width (a width of 1 is a chain, with
-no critical pairs), the critical pairs, the bounds and the search all
-run under the deadline of `order_dimension`.
+critical-pair order. With no cap on the number of classes its first
+descent never backtracks (a fresh class takes any critical pair), and
+the class count it reaches is the upper bound; capped at that count or
+more, first-fit retraces the descent. After the width (a width of 1 is a
+chain, with no critical pairs), all of it runs under the deadline of
+`order_dimension`.
 """
 
 from __future__ import annotations
@@ -177,17 +175,16 @@ def _search_partition(p: Poset, crit: list[tuple[int, int]], k: int | None,
     return classes
 
 
-def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]],
-                        deadline: float | None = None) -> bool:
-    """True iff the conflict graph of the critical pairs has an odd cycle.
-
-    (a,b) and (c,d) conflict iff c <= b and a <= d: reversing both in one
-    linear extension would close the cycle b < a <= d < c <= b. So every
-    realizer properly colours this graph, and an odd cycle certifies
-    dimension >= 3. Two-colours each component by BFS over bitsets. The
-    deadline is checked once per pair, as the tables are built and as
-    the search visits it.
-    """
+def _two_colour(p: Poset, crit: list[tuple[int, int]],
+                deadline: float | None = None) -> list[list[int]] | None:
+    """None if the conflict graph of the critical pairs has an odd cycle,
+    else the digraphs of its two colour classes, or [] if one is not
+    reversible. (a,b) and (c,d) conflict iff c <= b and a <= d: reversing
+    both would close the cycle b < a <= d < c <= b, so an odd cycle
+    certifies dimension >= 3. BFS over bitsets gives each component's
+    lowest pair colour 0, the lexicographically least proper colouring,
+    so reversible classes are what first-fit finds at k = 2. The deadline
+    is checked once per pair in the tables, the search and the classes."""
     # firsts_below[x] bit j iff crit[j][0] <= x; seconds_above[x] iff x <= crit[j][1]
     firsts_below = [0] * len(p)
     seconds_above = [0] * len(p)
@@ -197,11 +194,12 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]],
             firsts_below[x] |= 1 << j
         for x in _bits(p.down[b]):
             seconds_above[x] |= 1 << j
+    colours = [0, 0]
     unseen = (1 << len(crit)) - 1
     while unseen:
         frontier = unseen & -unseen
         unseen ^= frontier
-        sides = [frontier, 0]
+        colours[0] |= frontier
         parity = 0
         while frontier:
             nbrs = 0
@@ -209,27 +207,33 @@ def _odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]],
                 _check(deadline)
                 a, b = crit[i]
                 nbrs |= firsts_below[b] & seconds_above[a]
-            if nbrs & sides[parity]:
-                return True
+            if nbrs & colours[parity]:  # other components' bits are not in nbrs
+                return None
             parity ^= 1
             frontier = nbrs & unseen
-            sides[parity] |= frontier
+            colours[parity] |= frontier
             unseen &= ~frontier
-    return False
+    classes = [[p.up[i] & ~(1 << i) for i in range(len(p))] for _ in colours]
+    for rows, colour in zip(classes, colours):  # in critical-pair order
+        for j in _bits(colour):
+            _check(deadline)
+            if _closure_add(rows, len(p), crit[j][1], crit[j][0]) is None:
+                return []
+    return classes
 
 
 def _bounds(p: Poset, width: int, deadline: float | None = None
             ) -> tuple[int, int, list[tuple[int, int]], list[list[int]]]:
-    """(lower, upper, the critical pairs, the classes of the uncapped
-    first-fit descent) of a poset of the given width >= 2. Out of time,
-    raises BudgetExceeded with the bounds proven so far: 2 or the
-    odd-cycle bound, and the width (Dilworth)."""
+    """(lower, upper, the critical pairs, the reversible colour classes
+    or else the uncapped first-fit descent's) of a poset of width >= 2.
+    Out of time, raises BudgetExceeded with the bounds proven so far: 2
+    or the odd-cycle bound, and the width (Dilworth)."""
     lower = 2
     try:
         crit = _critical_pair_indices(p, deadline)
-        if _odd_conflict_cycle(p, crit, deadline):
-            lower = 3
-        peel = _search_partition(p, crit, None, deadline)
+        classes = _two_colour(p, crit, deadline)
+        lower = 3 if classes is None else 2
+        peel = classes or _search_partition(p, crit, None, deadline)
     except _Timeout:
         raise BudgetExceeded("dimension bounds timed out",
                              lower=lower, upper=max(lower, width)) from None
@@ -239,11 +243,11 @@ def _bounds(p: Poset, width: int, deadline: float | None = None
 def dimension_bounds(p: Poset) -> tuple[int, int]:
     """Certified (lower, upper) dimension bounds.
 
-    Upper: min of the width and the number of reversible classes that
-    first-fit opens with no cap on their number.
-    Lower: 1 for chains, else 2, raised to 3 when the conflict graph of
-    the critical pairs (pairs forming an alternating 2-cycle) has an odd
-    cycle, so that no two linear extensions can reverse them all.
+    Upper: 2 when the conflict graph's colour classes are reversible,
+    else the min of the width and the number of classes that uncapped
+    first-fit opens. Lower: 1 for chains, else 2, or 3 when the conflict
+    graph of the critical pairs (pairs forming an alternating 2-cycle)
+    has an odd cycle, so that no two linear extensions reverse them all.
     """
     width, _ = p.width_height()
     if width <= 1:  # a chain has no critical pairs

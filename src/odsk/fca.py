@@ -14,7 +14,7 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConceptBudgetExceeded, OdskError, ParseError, UnknownAttribute
-from .order import Poset, _bits, _check_elements, _transpose
+from .order import Poset, _bits, _check_elements, _position, _transpose
 
 DEFAULT_CONCEPT_BUDGET = 1_000_000
 
@@ -42,8 +42,8 @@ class FormalContext:
         return tuple(_transpose(self.rows, len(self.attributes)))
 
     def has(self, obj: str, attr: str) -> bool:
-        return bool(self.rows[self.objects.index(obj)]
-                    >> self.attributes.index(attr) & 1)
+        return bool(self.rows[_position(self.objects, obj, "object")]
+                    >> _position(self.attributes, attr, "attribute") & 1)
 
     def incidences(self) -> frozenset[tuple[str, str]]:
         return frozenset((self.objects[g], self.attributes[m])
@@ -70,12 +70,12 @@ class FormalContext:
         if side == "objects":
             mask = 0
             for g in names:
-                mask |= 1 << self.objects.index(g)
+                mask |= 1 << _position(self.objects, g, "object")
             return frozenset(self.attributes[j] for j in _bits(self._intent_of(mask)))
         if side == "attributes":
             mask = 0
             for m in names:
-                mask |= 1 << self.attributes.index(m)
+                mask |= 1 << _position(self.attributes, m, "attribute")
             return frozenset(self.objects[i] for i in _bits(self._extent_of(mask)))
         raise OdskError(f"side must be 'objects' or 'attributes', got {side!r}")
 

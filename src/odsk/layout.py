@@ -219,11 +219,6 @@ _MARGIN = 30
 _RADIUS = 6
 
 
-def _fmt(value) -> str:
-    f = float(value)
-    return f"{f:.2f}".rstrip("0").rstrip(".")
-
-
 def render(d: Drawing, fmt: str = "svg",
            labels: dict[str, str] | None = None) -> str:
     """Byte-deterministic SVG (circles, straight lines, labels, y flipped
@@ -236,8 +231,7 @@ def render(d: Drawing, fmt: str = "svg",
     if fmt == "dot":
         lines = ["digraph order {"]
         for name, (x, y) in d.positions:
-            lines.append(f'  "{name}" [label="{label(name)}" '
-                         f'pos="{_fmt(x)},{_fmt(y)}!"];')
+            lines.append(f'  "{name}" [label="{label(name)}" pos="{x},{y}!"];')
         for a, b in d.edges:
             lines.append(f'  "{a}" -> "{b}";')
         lines.append("}")
@@ -245,27 +239,21 @@ def render(d: Drawing, fmt: str = "svg",
     if fmt != "svg":
         raise OdskError(f"unknown render format: {fmt!r}")
 
-    if d.positions:
-        xs = [float(x) for _, (x, _) in d.positions]
-        ys = [float(y) for _, (_, y) in d.positions]
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
-    else:
-        x0 = x1 = y0 = y1 = 0.0
-    width = (x1 - x0) * _SCALE + 2 * _MARGIN
-    height = (y1 - y0) * _SCALE + 2 * _MARGIN
+    xs = [x for _, (x, _) in d.positions] or [0]
+    ys = [y for _, (_, y) in d.positions] or [0]
+    x0, y1 = min(xs), max(ys)
 
-    def sx(x) -> str:
-        return _fmt((float(x) - x0) * _SCALE + _MARGIN)
+    def sx(x: int) -> int:
+        return (x - x0) * _SCALE + _MARGIN
 
-    def sy(y) -> str:
-        return _fmt((y1 - float(y)) * _SCALE + _MARGIN)
+    def sy(y: int) -> int:
+        return (y1 - y) * _SCALE + _MARGIN
 
     pos = d.position_map()
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}">',
+        f'width="{sx(max(xs)) + _MARGIN}" height="{sy(min(ys)) + _MARGIN}">',
     ]
     for a, b in d.edges:
         (xa, ya), (xb, yb) = pos[a], pos[b]
@@ -274,7 +262,7 @@ def render(d: Drawing, fmt: str = "svg",
     for name, (x, y) in d.positions:
         out.append(f'  <circle cx="{sx(x)}" cy="{sy(y)}" r="{_RADIUS}" '
                    'fill="white" stroke="black"/>')
-        out.append(f'  <text x="{sx(x)}" y="{_fmt(float(sy(y)) - 10)}" '
+        out.append(f'  <text x="{sx(x)}" y="{sy(y) - 10}" '
                    f'font-size="10" text-anchor="middle">{_escape(label(name))}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import EmptyImage, EmptySet, OdskError, ParseError
 from .fca import FormalContext
-from .order import Poset, QuasiOrder, Relation, _bits, _check_elements
+from .order import Poset, QuasiOrder, Relation, _bits, _check_elements, _position
 
 Number = int | Decimal
 
@@ -86,10 +86,7 @@ class FiniteMetric:
         return [(names[x], names[k], names[y]) for x, y, ks in hits for k in ks]
 
     def index(self, name: str) -> int:
-        try:
-            return self.elements.index(name)
-        except ValueError as exc:
-            raise OdskError(f"unknown element: {name!r}") from exc
+        return _position(self.elements, name)
 
     def dist(self, a: str, b: str) -> Number:
         return self.d[self.index(a)][self.index(b)]
@@ -236,7 +233,8 @@ class MediatedMetric:
     empty_extents: tuple[str, ...]
 
     def dist(self, m1: str, m2: str) -> Number | None:
-        return self.table[self.attributes.index(m1)][self.attributes.index(m2)]
+        return self.table[_position(self.attributes, m1, "attribute")][
+            _position(self.attributes, m2, "attribute")]
 
 
 def mediated_metric(ctx: FormalContext, d_g: FiniteMetric) -> MediatedMetric:

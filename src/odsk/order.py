@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import AntisymmetryViolation, BudgetExceeded, OdskError, ParseError
+from .errors import (AntisymmetryViolation, BudgetExceeded, OdskError, ParseError,
+                     UnknownAttribute)
 
 DEFAULT_COUNT_BUDGET = 20  # max element count for exact extension counting
 
@@ -31,6 +32,15 @@ def _check_elements(elements: Sequence[str]) -> tuple[str, ...]:
         dupes = sorted({e for e in elems if list(elems).count(e) > 1})
         raise OdskError(f"duplicate element names: {dupes}")
     return elems
+
+
+def _position(names: tuple[str, ...], name: str, kind: str = "element") -> int:
+    """names.index(name), raising OdskError (UnknownAttribute for attributes)."""
+    try:
+        return names.index(name)
+    except ValueError:
+        error = UnknownAttribute if kind == "attribute" else OdskError
+        raise error(f"unknown {kind}: {name!r}") from None
 
 
 def _check_preorder(elements: Sequence[str], rows: Sequence[int], what: str,
@@ -483,9 +493,8 @@ class QuasiOrder:
         return cls(elems, tuple(rows))
 
     def leq(self, a: str, b: str) -> bool:
-        ia = self.elements.index(a)
-        ib = self.elements.index(b)
-        return bool(self.rel[ia] >> ib & 1)
+        return bool(self.rel[_position(self.elements, a)]
+                    >> _position(self.elements, b) & 1)
 
     def quotient(self) -> tuple[Poset, dict[str, str]]:
         """Merge mutually comparable elements; returns the induced poset

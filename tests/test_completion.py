@@ -3,12 +3,14 @@ import time
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import odsk.completion as completion
 from odsk import (BudgetExceeded, LinearExtension, Poset, concepts,
                   critical_pairs, dedekind_macneille, dimension_bounds,
                   intersect_linear_orders, order_dimension)
 from odsk.fixtures import airlines, bundesliga_domination, rembrandt, socialnet
+from odsk.order import _bits
 
 from conftest import (boolean_cube, brute_cut_count, fence, random_poset,
                       standard_example)
@@ -298,7 +300,8 @@ def test_tight_bound_reuses_the_descent(monkeypatch):
         res = order_dimension(p)
         assert res.dim == dim
         assert same_order(intersect_linear_orders(res.realizer.extensions), p)
-        assert calls == [None]  # the descent only
+        # dimension 2: the colour classes; else the descent only
+        assert calls == ([] if dim == 2 else [None])
 
 
 # -- one first-fit search for the bound and the realizer ---------------------
@@ -357,7 +360,11 @@ def test_dimension_bounds_match_old_peel(rng):
             assert (lo, hi) == (1, 1)
             continue
         width, _ = p.width_height()
-        assert hi == max(lo, min(width, _old_greedy_peel_count(p)))
+        old_hi = max(lo, min(width, _old_greedy_peel_count(p)))
+        if completion._two_colour(p, completion._critical_pair_indices(p)):
+            assert hi == 2 <= old_hi  # the colour classes are reversible
+        else:
+            assert hi == old_hi
 
 
 def test_fence_beyond_the_recursion_limit():
@@ -394,7 +401,7 @@ def test_bounds_run_under_the_deadline():
     assert (exc.value.lower, exc.value.upper) == (2, 400)  # upper: the width
     crit = completion._critical_pair_indices(p)
     for step in (lambda deadline: completion._critical_pair_indices(p, deadline),
-                 lambda deadline: completion._odd_conflict_cycle(p, crit, deadline)):
+                 lambda deadline: completion._two_colour(p, crit, deadline)):
         with pytest.raises(completion._Timeout):
             step(time.monotonic())
 
@@ -412,3 +419,82 @@ def test_search_timeout_reports_the_k_it_reached(monkeypatch):
         order_dimension(standard_example(4))
     assert str(exc.value) == "dimension search timed out at k=3"
     assert (exc.value.lower, exc.value.upper) == (3, 4)
+
+
+# -- the conflict-graph colouring against the odd-cycle test and k = 2 -----
+
+
+def _old_odd_conflict_cycle(p: Poset, crit: list[tuple[int, int]]) -> bool:
+    """The earlier lower-bound test: BFS over the conflict graph, True iff
+    it has an odd cycle."""
+    firsts_below = [0] * len(p)
+    seconds_above = [0] * len(p)
+    for j, (a, b) in enumerate(crit):
+        for x in _bits(p.up[a]):
+            firsts_below[x] |= 1 << j
+        for x in _bits(p.down[b]):
+            seconds_above[x] |= 1 << j
+    unseen = (1 << len(crit)) - 1
+    while unseen:
+        frontier = unseen & -unseen
+        unseen ^= frontier
+        sides = [frontier, 0]
+        parity = 0
+        while frontier:
+            nbrs = 0
+            for i in _bits(frontier):
+                a, b = crit[i]
+                nbrs |= firsts_below[b] & seconds_above[a]
+            if nbrs & sides[parity]:
+                return True
+            parity ^= 1
+            frontier = nbrs & unseen
+            sides[parity] |= frontier
+            unseen &= ~frontier
+    return False
+
+
+def _extensions(p: Poset, classes: list[list[int]]) -> tuple[LinearExtension, ...]:
+    return tuple(
+        Poset(p.elements, tuple(row | 1 << i for i, row in enumerate(rows)))
+        .greedy_linear_extension() for rows in classes)
+
+
+@st.composite
+def shuffled_posets(draw) -> Poset:
+    """A random poset on up to 10 elements, listed in a random order."""
+    rng = draw(st.randoms(use_true_random=False))
+    p = random_poset(rng, draw(st.integers(2, 10)),
+                     draw(st.sampled_from([0.1, 0.2, 0.35, 0.5])))
+    order = list(p.elements)
+    rng.shuffle(order)
+    return Poset.from_pairs(order, [(a, b) for a in order for b in order
+                                    if a != b and p.leq(a, b)])
+
+
+@given(shuffled_posets())
+def test_two_colour_matches_odd_cycle_and_k2_search(p):
+    crit = completion._critical_pair_indices(p)
+    assume(crit)
+    classes = completion._two_colour(p, crit)
+    assert (classes is None) == _old_odd_conflict_cycle(p, crit)
+    k2 = completion._search_partition(p, crit, 2, None)
+    if classes:  # reversible colour classes are what first-fit finds
+        assert classes == k2
+    try:
+        res = order_dimension(p, max_k=2)
+    except BudgetExceeded as exc:
+        assert k2 is None and exc.lower == 3
+    else:
+        assert res.dim == 2 and k2 is not None
+        assert res.realizer.extensions == _extensions(p, k2)
+
+
+def test_k2_search_that_timed_out_is_coloured():
+    # bipartite conflict graph; the k = 2 search ran out a 1 s budget here
+    elements = [f"e{i}" for i in range(13)]
+    p = Poset.from_pairs(elements, [("e0", "e7"), ("e1", "e7"), ("e1", "e11"),
+                                    ("e5", "e7"), ("e6", "e7"), ("e7", "e8")])
+    res = order_dimension(p, max_k=2, budget_ms=1000)
+    assert res.dim == 2
+    assert same_order(intersect_linear_orders(res.realizer.extensions), p)

@@ -4,12 +4,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from odsk import (AntisymmetryViolation, BudgetExceeded, LinearExtension, OdskError,
-                  OrdinalStructure, Poset, QuasiOrder, Relation,
-                  close_quasiorder, close_relation, intersect_linear_orders,
-                  pareto_maxima, poset_from_tsv, product_order,
-                  product_quasiorder)
+from odsk import (AntisymmetryViolation, BudgetExceeded, FiniteMetric, FormalContext,
+                  LinearExtension, OdskError, OrdinalStructure, Poset, QuasiOrder,
+                  Relation, UnknownAttribute, close_quasiorder, close_relation,
+                  intersect_linear_orders, pareto_maxima, poset_from_tsv,
+                  product_order, product_quasiorder)
 from odsk.fixtures import bundesliga_scales, bundesliga_table
+from odsk.omspace import MediatedMetric
 from odsk.scaling import to_ordinal_structure
 
 from conftest import brute_extension_count, brute_max_antichain, brute_max_chain, random_poset
@@ -76,6 +77,28 @@ def test_close_relation_cycle_reports_class():
 def test_invalid_relations_are_rejected(build, error, message):
     with pytest.raises(OdskError) as exc:
         build()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+_CTX = FormalContext(("g",), ("m",), (0b1,))
+
+
+@pytest.mark.parametrize("lookup, error, message", [
+    (lambda: _CTX.has("zz", "m"), OdskError, "unknown object: 'zz'"),
+    (lambda: _CTX.has("g", "zz"), UnknownAttribute, "unknown attribute: 'zz'"),
+    (lambda: _CTX.derive("objects", ["g", "zz"]), OdskError, "unknown object: 'zz'"),
+    (lambda: _CTX.derive("attributes", ["zz"]), UnknownAttribute, "unknown attribute: 'zz'"),
+    (lambda: QuasiOrder(("a",), (0b1,)).leq("a", "zz"), OdskError, "unknown element: 'zz'"),
+    (lambda: MediatedMetric(("m",), ((0,),), ()).dist("m", "zz"),
+     UnknownAttribute, "unknown attribute: 'zz'"),
+    (lambda: FiniteMetric(("a",), ((0,),)).dist("zz", "a"), OdskError, "unknown element: 'zz'"),
+    (lambda: Poset.chain("a").leq("zz", "a"), OdskError, "unknown element: 'zz'"),
+], ids=["has-object", "has-attribute", "derive-objects", "derive-attributes",
+        "quasi-leq", "mediated-dist", "metric-dist", "poset-leq"])
+def test_unknown_names_raise_odsk_errors(lookup, error, message):
+    with pytest.raises(OdskError) as exc:
+        lookup()
     assert type(exc.value) is error
     assert str(exc.value) == message
 
