@@ -12,9 +12,9 @@ search with backtracking fills the classes in lexicographic
 critical-pair order. With no cap on the number of classes its first
 descent never backtracks (a fresh class takes any critical pair), and
 the class count it reaches is the upper bound; capped at that count or
-more, first-fit retraces the descent. After the width (a width of 1 is a
-chain, with no critical pairs), all of it runs under the deadline of
-`order_dimension`.
+more, first-fit retraces the descent. A chain (width 1) has no critical
+pairs, and its strict order is its one class. After the width, all of it
+runs under the deadline of `order_dimension`.
 """
 
 from __future__ import annotations
@@ -222,12 +222,15 @@ def _two_colour(p: Poset, crit: list[tuple[int, int]],
     return classes
 
 
-def _bounds(p: Poset, width: int, deadline: float | None = None
+def _bounds(p: Poset, deadline: float | None = None
             ) -> tuple[int, int, list[tuple[int, int]], list[list[int]]]:
     """(lower, upper, the critical pairs, the reversible colour classes
-    or else the uncapped first-fit descent's) of a poset of width >= 2.
-    Out of time, raises BudgetExceeded with the bounds proven so far: 2
-    or the odd-cycle bound, and the width (Dilworth)."""
+    or else the uncapped first-fit descent's). A chain's one class is its
+    strict order. Out of time, raises BudgetExceeded with the bounds
+    proven so far: 2 or the odd-cycle bound, and the width (Dilworth)."""
+    width, _ = p.width_height()
+    if width <= 1:  # a chain has no critical pairs
+        return 1, 1, [], [[p.up[i] & ~(1 << i) for i in range(len(p))]]
     lower = 2
     try:
         crit = _critical_pair_indices(p, deadline)
@@ -249,10 +252,7 @@ def dimension_bounds(p: Poset) -> tuple[int, int]:
     graph of the critical pairs (pairs forming an alternating 2-cycle)
     has an odd cycle, so that no two linear extensions reverse them all.
     """
-    width, _ = p.width_height()
-    if width <= 1:  # a chain has no critical pairs
-        return (1, 1)
-    return _bounds(p, width)[:2]
+    return _bounds(p)[:2]
 
 
 def order_dimension(p: Poset, max_k: int | None = None,
@@ -267,12 +267,7 @@ def order_dimension(p: Poset, max_k: int | None = None,
         raise OdskError("max_k must be >= 1")
     budget = DEFAULT_BUDGET_MS if budget_ms is None else budget_ms
     deadline = time.monotonic() + budget / 1000.0
-
-    width, _ = p.width_height()
-    if width <= 1:  # a chain has no critical pairs
-        return DimensionResult(1, Realizer((p.greedy_linear_extension(),)))
-
-    lower, upper, crit, peel = _bounds(p, width, deadline)
+    lower, upper, crit, peel = _bounds(p, deadline)
     k_cap = upper if max_k is None else max_k
     for k in range(lower, k_cap + 1):
         try:

@@ -319,16 +319,9 @@ class GuttmanResult:
 def is_guttman(ctx: FormalContext) -> GuttmanResult:
     """Ferrers test: rows must form a chain under inclusion. The witness
     ranks rows by that chain, largest row first."""
-    order = sorted(range(len(ctx.objects)),
-                   key=lambda i: (-ctx.rows[i].bit_count(), i))
-    distinct: list[int] = []
-    for i in order:
-        prev = distinct[-1] if distinct else None
-        if prev is not None and ctx.rows[i] == prev:
-            continue
-        if prev is not None and ctx.rows[i] & ~prev:
-            return GuttmanResult(False, None)
-        distinct.append(ctx.rows[i])
+    distinct = sorted(set(ctx.rows), key=int.bit_count, reverse=True)
+    if any(row & ~prev for prev, row in zip(distinct, distinct[1:])):
+        return GuttmanResult(False, None)
     rank_of_row = {row: r + 1 for r, row in enumerate(distinct)}
     s = tuple((g, rank_of_row[ctx.rows[i]]) for i, g in enumerate(ctx.objects))
     e = []
@@ -371,7 +364,11 @@ def clarify(ctx: FormalContext) -> ClarifyResult:
 
 
 def write_cxt(ctx: FormalContext) -> str:
-    """Serialize in the Burmeister format, bit-exact."""
+    """Serialize in the Burmeister format, bit-exact. A name holding a
+    line break, which read_cxt would split, raises OdskError."""
+    for name in ctx.objects + ctx.attributes:
+        if "\n" in name or "\r" in name:
+            raise OdskError(f"CXT cannot hold a name with a line break: {name!r}")
     lines = ["B", "", str(len(ctx.objects)), str(len(ctx.attributes)), ""]
     lines += list(ctx.objects)
     lines += list(ctx.attributes)

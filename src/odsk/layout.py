@@ -5,9 +5,9 @@ Coordinates are plain ints. dimdraw places an element at
 x = rank1 - rank2, y = rank1 + rank2 for a pair of linear extensions, so
 covering edges always point upward. When the poset has a 2-realizer the
 exact realizer is used; otherwise the pair is picked from sampled
-extensions by the fewest incomparable pairs ordered the same way in
-both. quality sorts the edges by their lower y and tests only the pairs
-whose y-ranges and x-ranges overlap.
+extensions whose intersection, the order the pair draws, has the fewest
+comparable pairs. quality sorts the edges by their lower y and tests
+only the pairs whose y-ranges and x-ranges overlap.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .completion import order_dimension
 from .errors import BudgetExceeded, OdskError
-from .order import LinearExtension, Poset, _bits
+from .order import LinearExtension, Poset, _bits, _intersection_rows, _transpose
 
 PAIR_SEARCH_SEEDS = 200
 MEDIAN_SWEEPS = 8
@@ -54,12 +54,6 @@ def _drawing_from_extensions(p: Poset, l1: LinearExtension,
     return Drawing(positions, p.covers)
 
 
-def _same_direction_score(pairs: list[tuple[int, int]], r1: list[int],
-                          r2: list[int]) -> int:
-    """Incomparable index pairs ordered the same way in both rank lists."""
-    return sum((r1[i] < r1[j]) == (r2[i] < r2[j]) for i, j in pairs)
-
-
 def dimdraw(p: Poset, budget_ms: int | None = None) -> Drawing:
     """Two-extension drawing; exact realizer when the dimension is at
     most two, else the best of 100 sampled extension pairs. Falls back
@@ -80,34 +74,28 @@ def dimdraw(p: Poset, budget_ms: int | None = None) -> Drawing:
         warnings.warn("dimdraw budget exceeded; falling back to layered layout",
                       stacklevel=2)
         return layered(p)
-    pairs = [(p.index(a), p.index(b)) for a, b in p.incomparable_pairs()]
-    ranks = [[s.position[e] for e in p.elements] for s in samples]
-    best = min(range(0, PAIR_SEARCH_SEEDS, 2),
-               key=lambda i: _same_direction_score(pairs, ranks[i], ranks[i + 1]))
+    # a pair draws its intersection, whose comparable pairs are P's plus
+    # the incomparable pairs that both extensions order alike
+    best = min(range(0, PAIR_SEARCH_SEEDS, 2), key=lambda i: sum(map(
+        int.bit_count, _intersection_rows(p._index, (samples[i].order, samples[i + 1].order)))))
     return _drawing_from_extensions(p, samples[best], samples[best + 1])
 
 
 def layered(p: Poset) -> Drawing:
     """Sugiyama-style drawing: longest-path layers, 8 median sweeps for
     crossing reduction, centered integer grid coordinates."""
-    levels = [list(level) for level in p.height_levels()]
-    if not levels:
-        return Drawing((), ())
-    cover_up: dict[str, list[str]] = {e: [] for e in p.elements}
-    cover_dn: dict[str, list[str]] = {e: [] for e in p.elements}
-    for a, b in p.covers:
-        cover_up[a].append(b)
-        cover_dn[b].append(a)
+    levels = [[p._index[e] for e in level] for level in p.height_levels()]
+    cover_dn = _transpose(p.cover_rows, len(p))
 
-    def median_pass(layers: list[list[str]], upward: bool):
+    def median_pass(layers: list[list[int]], upward: bool):
         seq = range(1, len(layers)) if upward else range(len(layers) - 2, -1, -1)
         for li in seq:
             ref = layers[li - 1] if upward else layers[li + 1]
             refpos = {e: k for k, e in enumerate(ref)}
-            neigh = cover_dn if upward else cover_up
+            neigh = cover_dn if upward else p.cover_rows
             keyed = []
             for k, e in enumerate(layers[li]):
-                ns = sorted(refpos[x] for x in neigh[e] if x in refpos)
+                ns = sorted(refpos[x] for x in _bits(neigh[e]) if x in refpos)
                 med = ns[len(ns) // 2] if ns else k
                 keyed.append((med, k, e))
             layers[li] = [e for _, _, e in sorted(keyed)]
@@ -115,13 +103,10 @@ def layered(p: Poset) -> Drawing:
     for sweep in range(MEDIAN_SWEEPS):
         median_pass(levels, upward=sweep % 2 == 0)
 
-    positions = []
+    positions = [None] * len(p)
     for li, layer in enumerate(levels):
-        width = len(layer)
-        for k, e in enumerate(layer):
-            positions.append((e, (2 * k - (width - 1), li)))
-    order = {e: i for i, e in enumerate(p.elements)}
-    positions.sort(key=lambda t: order[t[0]])
+        for k, i in enumerate(layer):
+            positions[i] = (p.elements[i], (2 * k - (len(layer) - 1), li))
     return Drawing(tuple(positions), p.covers)
 
 
@@ -231,9 +216,9 @@ def render(d: Drawing, fmt: str = "svg",
     if fmt == "dot":
         lines = ["digraph order {"]
         for name, (x, y) in d.positions:
-            lines.append(f'  "{name}" [label="{label(name)}" pos="{x},{y}!"];')
+            lines.append(f'  {_quote(name)} [label={_quote(label(name))} pos="{x},{y}!"];')
         for a, b in d.edges:
-            lines.append(f'  "{a}" -> "{b}";')
+            lines.append(f'  {_quote(a)} -> {_quote(b)};')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt != "svg":
@@ -271,3 +256,8 @@ def render(d: Drawing, fmt: str = "svg",
 def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;"))
+
+
+def _quote(text: str) -> str:
+    """A DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -325,13 +325,8 @@ class Poset:
         names = order.order if isinstance(order, LinearExtension) else tuple(order)
         if sorted(names) != sorted(self.elements):
             return False
-        pos = {name: k for k, name in enumerate(names)}
-        for i in range(len(self)):
-            pi = pos[self.elements[i]]
-            for j in _bits(self.up[i] & ~(1 << i)):
-                if pi > pos[self.elements[j]]:
-                    return False
-        return True
+        after = _intersection_rows(self._index, (names,))
+        return all(up & ~row == 0 for up, row in zip(self.up, after))
 
     @cached_property
     def _downset_memo(self) -> dict[int, int]:
@@ -406,7 +401,13 @@ class Poset:
     # -- edge-list file format ----------------------------------------
 
     def to_tsv(self) -> str:
-        """Cover pairs as "a<TAB>b" lines plus lone isolated elements."""
+        """Cover pairs as "a<TAB>b" lines plus lone isolated elements.
+        Raises OdskError for a name that poset_from_tsv would read back
+        differently: empty, with a tab, a line break or surrounding
+        whitespace, or starting with '#'."""
+        for e in self.elements:
+            if e.splitlines() != [e] or "\t" in e or e != e.strip() or e.startswith("#"):
+                raise OdskError(f"edge-list format cannot hold the element name {e!r}")
         lines = []
         used = set()
         for a, b in self.covers:
@@ -593,11 +594,19 @@ def intersect_linear_orders(orders: Sequence[LinearExtension]) -> Poset:
         if sorted(o.order) != sorted(base):
             raise OdskError("linear orders are over different elements")
     elements = tuple(sorted(base))
-    index = {e: i for i, e in enumerate(elements)}
-    rows = [(1 << len(elements)) - 1] * len(elements)
-    for o in orders:
-        after = 0  # elements at or after the current one in o
-        for name in reversed(o.order):
+    rows = _intersection_rows({e: i for i, e in enumerate(elements)},
+                              [o.order for o in orders])
+    return Poset(elements, tuple(rows))
+
+
+def _intersection_rows(index: dict[str, int],
+                       orders: Iterable[Sequence[str]]) -> list[int]:
+    """rows[index[a]] bit index[b] iff b is at or after a in every order,
+    each order a permutation of ``index``'s names."""
+    rows = [(1 << len(index)) - 1] * len(index)
+    for order in orders:
+        after = 0  # names at or after the current one in order
+        for name in reversed(order):
             after |= 1 << index[name]
             rows[index[name]] &= after
-    return Poset(elements, tuple(rows))
+    return rows

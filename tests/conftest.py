@@ -6,7 +6,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from odsk import FormalContext, Poset
 
@@ -22,6 +22,17 @@ def random_poset(rng: random.Random, n: int, p: float = 0.3) -> Poset:
     pairs = [(elements[i], elements[j])
              for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Poset.from_pairs(elements, pairs)
+
+
+@st.composite
+def shuffled_posets(draw, sizes=st.integers(2, 10)) -> Poset:
+    """A random poset, its elements listed in a random order."""
+    rng = draw(st.randoms(use_true_random=False))
+    p = random_poset(rng, draw(sizes), draw(st.sampled_from([0.1, 0.2, 0.35, 0.5])))
+    order = list(p.elements)
+    rng.shuffle(order)
+    return Poset.from_pairs(order, [(a, b) for a in order for b in order
+                                    if a != b and p.leq(a, b)])
 
 
 def fence(m: int) -> Poset:

@@ -121,6 +121,18 @@ def test_scale_contranominal(tmp_path, capsys):
     assert ctx.rows == (0b10, 0b01, 0b10)
 
 
+def test_scale_refuses_a_name_its_cxt_could_not_hold(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text('name,c\n"a\nb",1\nx,2\ny,3\n', encoding="utf-8")
+    spec = tmp_path / "s.json"
+    spec.write_text('{"c": {"kind": "ordinal"}}', encoding="utf-8")
+    out = tmp_path / "t.cxt"
+    assert run(["scale", str(table), "--spec", str(spec), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: CXT cannot hold a name with a line break: 'a\\nb'\n"
+    assert not out.exists()
+
+
 def test_factors_socialnet(capsys):
     assert run(["factors", SOCIAL, "-k", "2"]) == 0
     text = out_of(capsys)

@@ -13,7 +13,7 @@ from odsk.fixtures import airlines, bundesliga_domination, rembrandt, socialnet
 from odsk.order import _bits
 
 from conftest import (boolean_cube, brute_cut_count, fence, random_poset,
-                      standard_example)
+                      shuffled_posets, standard_example)
 
 
 def same_order(a: Poset, b: Poset) -> bool:
@@ -128,6 +128,15 @@ def test_dimension_chain():
     res = order_dimension(Poset.chain("abcde"))
     assert res.dim == 1
     assert res.realizer.extensions[0].order == ("a", "b", "c", "d", "e")
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_chain_dimension_is_one_with_the_greedy_extension(n):
+    p = Poset.chain([f"c{n - i}" for i in range(n)])  # names against the order
+    assert dimension_bounds(p) == (1, 1)
+    res = order_dimension(p)
+    assert res.dim == 1
+    assert res.realizer.extensions == (p.greedy_linear_extension(),)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -458,18 +467,6 @@ def _extensions(p: Poset, classes: list[list[int]]) -> tuple[LinearExtension, ..
     return tuple(
         Poset(p.elements, tuple(row | 1 << i for i, row in enumerate(rows)))
         .greedy_linear_extension() for rows in classes)
-
-
-@st.composite
-def shuffled_posets(draw) -> Poset:
-    """A random poset on up to 10 elements, listed in a random order."""
-    rng = draw(st.randoms(use_true_random=False))
-    p = random_poset(rng, draw(st.integers(2, 10)),
-                     draw(st.sampled_from([0.1, 0.2, 0.35, 0.5])))
-    order = list(p.elements)
-    rng.shuffle(order)
-    return Poset.from_pairs(order, [(a, b) for a in order for b in order
-                                    if a != b and p.leq(a, b)])
 
 
 @given(shuffled_posets())

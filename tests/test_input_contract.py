@@ -1,5 +1,7 @@
 """Input contract: every reader turns any text into a value or an
-OdskError, and every CLI subcommand exits 0, 2 or 3 on any input bytes.
+OdskError, every CLI subcommand exits 0, 2 or 3 on any input bytes, and
+every writer either writes a name its reader reads back or raises
+OdskError.
 
 Inputs are arbitrary text plus the bundled fixtures with a few byte
 edits, some of them tokens that once crashed a reader. The CI workflow
@@ -9,15 +11,16 @@ runs this file again under the ``fuzz`` hypothesis profile.
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from odsk import (OdskError, poset_from_tsv, read_cxt, read_distance_csv,
-                  read_scaling_spec, read_table_csv)
+from odsk import (FormalContext, OdskError, Poset, layered, poset_from_tsv, read_cxt,
+                  read_distance_csv, read_scaling_spec, read_table_csv, render, write_cxt)
 from odsk.cli import run
 from odsk.fixtures import fixture_text
 
@@ -178,3 +181,52 @@ def test_cli_fixtures_exit_zero(k):
 def test_cli_exit_code_contract(case):
     k, contents = case
     assert _run_cli(k, contents) in (0, 2, 3)
+
+
+# -- writers -------------------------------------------------------------------
+
+
+def _reads_back(reader, text: str, value) -> bool:
+    """Whether ``reader`` gives ``value`` from ``text`` written to a file
+    and read back as the CLI reads it, with universal newlines."""
+    text = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8").read()
+    try:
+        return reader(text) == value
+    except OdskError:
+        return False
+
+
+@given(st.text(max_size=6), st.text(max_size=6))
+def test_write_cxt_round_trips_or_raises(obj, att):
+    ctx = FormalContext((obj,), (att,), (1,))
+    try:
+        text = write_cxt(ctx)
+    except OdskError:  # only where the unchecked text would not read back
+        assert not _reads_back(read_cxt, f"B\n\n1\n1\n\n{obj}\n{att}\nX\n", ctx)
+    else:
+        assert _reads_back(read_cxt, text, ctx)
+
+
+@given(st.text(max_size=6))
+def test_to_tsv_round_trips_or_raises(name):
+    assume(name != "x")
+    posets = [Poset.antichain([name, "x"]), Poset.chain([name, "x"]), Poset.chain(["x", name])]
+    unchecked = [f"{name}\nx\n", f"{name}\tx\n", f"x\t{name}\n"]
+    try:
+        written = [p.to_tsv() for p in posets]
+    except OdskError:  # only where some unchecked text would not read back
+        assert not all(map(_reads_back, [poset_from_tsv] * 3, unchecked, posets))
+    else:
+        assert written == unchecked
+        assert all(map(_reads_back, [poset_from_tsv] * 3, written, posets))
+
+
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
+
+
+@given(st.text(max_size=6), st.text(max_size=6))
+def test_render_dot_quotes_names_and_labels(name, label):
+    assume(name != "x")
+    dot = render(layered(Poset.chain([name, "x"])), fmt="dot", labels={name: label})
+    strings = [re.sub(r"\\(.)", r"\1", s, flags=re.DOTALL) for s in DOT_STRING.findall(dot)]
+    assert strings == [name, label, "0,0!", "x", "x", "0,1!", name, "x"]

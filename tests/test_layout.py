@@ -5,7 +5,9 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
+import odsk.layout as layout
 from odsk import (LinearExtension, Poset, concepts, dimdraw,
                   intersect_linear_orders, layered, order_dimension, quality,
                   render)
@@ -14,7 +16,7 @@ from odsk.errors import BudgetExceeded
 from odsk.fixtures import bundesliga_domination, fixture_path, rembrandt, socialnet
 from odsk.layout import Drawing, QualityMetrics, _segments_cross
 
-from conftest import boolean_cube, random_poset
+from conftest import boolean_cube, random_poset, shuffled_posets
 
 
 def upward_ok(p: Poset, drawing) -> bool:
@@ -113,6 +115,67 @@ def test_layered_upward_random(rng):
     for _ in range(30):
         p = random_poset(rng, rng.randint(1, 9))
         assert upward_ok(p, layered(p))
+
+
+# -- the bit-row drawing path against the name-keyed code it replaced -------
+
+
+def _same_direction_best(p: Poset, samples: list[LinearExtension]) -> int:
+    """The first sampled pair with the fewest incomparable pairs that both
+    extensions order the same way."""
+    pairs = [(p.index(a), p.index(b)) for a, b in p.incomparable_pairs()]
+    ranks = [[s.position[e] for e in p.elements] for s in samples]
+    return min(range(0, len(samples), 2), key=lambda i: sum(
+        (ranks[i][a] < ranks[i][b]) == (ranks[i + 1][a] < ranks[i + 1][b]) for a, b in pairs))
+
+
+def _over_budget(*args, **kwargs):
+    raise BudgetExceeded("no realizer search in this test")
+
+
+@given(shuffled_posets(st.integers(1, 12)))
+def test_dimdraw_picks_the_pair_the_same_direction_score_picks(p):
+    samples = [p.sample_linear_extension(seed=s) for s in range(layout.PAIR_SEARCH_SEEDS)]
+    best = _same_direction_best(p, samples)
+    with pytest.MonkeyPatch.context() as mp:  # the sampled path, whatever the dimension
+        mp.setattr(layout, "order_dimension", _over_budget)
+        d = dimdraw(p)
+    # the two rank lists, and so the sampled pair, can be read off the points
+    assert d.positions == layout._drawing_from_extensions(
+        p, samples[best], samples[best + 1]).positions
+
+
+def _name_keyed_layered(p: Poset) -> tuple:
+    """Layered positions from name-keyed cover lists, sorted back into
+    element order at the end."""
+    levels = [list(level) for level in p.height_levels()]
+    cover_up: dict[str, list[str]] = {e: [] for e in p.elements}
+    cover_dn: dict[str, list[str]] = {e: [] for e in p.elements}
+    for a, b in p.covers:
+        cover_up[a].append(b)
+        cover_dn[b].append(a)
+    for sweep in range(layout.MEDIAN_SWEEPS):
+        upward = sweep % 2 == 0
+        seq = range(1, len(levels)) if upward else range(len(levels) - 2, -1, -1)
+        for li in seq:
+            refpos = {e: k for k, e in enumerate(levels[li - 1] if upward else levels[li + 1])}
+            neigh = cover_dn if upward else cover_up
+            keyed = []
+            for k, e in enumerate(levels[li]):
+                ns = sorted(refpos[x] for x in neigh[e] if x in refpos)
+                keyed.append((ns[len(ns) // 2] if ns else k, k, e))
+            levels[li] = [e for _, _, e in sorted(keyed)]
+    positions = [(e, (2 * k - (len(layer) - 1), li))
+                 for li, layer in enumerate(levels) for k, e in enumerate(layer)]
+    order = {e: i for i, e in enumerate(p.elements)}
+    return tuple(sorted(positions, key=lambda t: order[t[0]]))
+
+
+@given(shuffled_posets(st.integers(0, 12)))
+def test_layered_matches_the_name_keyed_layout(p):
+    d = layered(p)
+    assert d.positions == _name_keyed_layered(p)
+    assert d.edges == p.covers
 
 
 # -- quality -----------------------------------------------------------------

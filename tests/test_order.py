@@ -11,9 +11,11 @@ from odsk import (AntisymmetryViolation, BudgetExceeded, FiniteMetric, FormalCon
                   product_order, product_quasiorder)
 from odsk.fixtures import bundesliga_scales, bundesliga_table
 from odsk.omspace import MediatedMetric
+from odsk.order import _bits
 from odsk.scaling import to_ordinal_structure
 
-from conftest import brute_extension_count, brute_max_antichain, brute_max_chain, random_poset
+from conftest import (brute_extension_count, brute_max_antichain, brute_max_chain,
+                      random_poset, shuffled_posets)
 
 
 def small_relations():
@@ -334,6 +336,32 @@ def test_is_linear_extension_examples():
     chain = Poset.chain("abc")
     assert not chain.is_linear_extension(("c", "b", "a"))
     assert Poset.antichain("abc").is_linear_extension(("b", "c", "a"))
+
+
+def _pairwise_is_linear_extension(p: Poset, order) -> bool:
+    """The test by name positions, one comparable pair at a time."""
+    names = order.order if isinstance(order, LinearExtension) else tuple(order)
+    if sorted(names) != sorted(p.elements):
+        return False
+    pos = {name: k for k, name in enumerate(names)}
+    for i in range(len(p)):
+        pi = pos[p.elements[i]]
+        for j in _bits(p.up[i] & ~(1 << i)):
+            if pi > pos[p.elements[j]]:
+                return False
+    return True
+
+
+@given(shuffled_posets(st.integers(1, 12)), st.data())
+def test_is_linear_extension_matches_the_pairwise_test(p, data):
+    perm = data.draw(st.permutations(p.elements))
+    ext = p.sample_linear_extension(seed=data.draw(st.integers(0, 99)))
+    k = data.draw(st.integers(0, len(p) - 1))
+    repeated = perm[:k] + perm[k + 1:] + [perm[k - 1]]  # for n = 1, perm itself
+    missing = perm[:k] + perm[k + 1:]
+    assert p.is_linear_extension(ext) and p.is_linear_extension(list(ext.order))
+    for order in (perm, LinearExtension(tuple(perm)), repeated, missing):
+        assert p.is_linear_extension(order) == _pairwise_is_linear_extension(p, order)
 
 
 def test_bundesliga_final_ranking_is_linear_extension():
